@@ -28,8 +28,6 @@ __all__ = [
     "dct_eigensystem",
     "dfrct_matrix",
     "rpfrct_matrix",
-    "rpfrct2d_forward",
-    "rpfrct2d_inverse",
     "rpfrct_basis",
     "rpfrct2d_basis",
     "f1_scale",
@@ -141,23 +139,6 @@ def rpfrct_matrix(M, alpha):
         raise ValueError("signal length must be even and >= 2")
     B = dfrct_matrix(M // 2, alpha)
     return np.block([[B.real, -B.imag], [B.imag, B.real]])
-
-
-def rpfrct2d_forward(X, alpha, beta):
-    """Separable 2-D transform S = R_alpha X R_beta^T on an even-sided square."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] != X.shape[1] or X.shape[0] % 2 != 0:
-        raise ValueError("X must be square with even side")
-    n = X.shape[0]
-    return rpfrct_matrix(n, alpha) @ X @ rpfrct_matrix(n, beta).T
-
-def rpfrct2d_inverse(S, alpha, beta):
-    """Inverse of :func:`rpfrct2d_forward`: X = R_alpha^T S R_beta."""
-    S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1] or S.shape[0] % 2 != 0:
-        raise ValueError("S must be square with even side")
-    n = S.shape[0]
-    return rpfrct_matrix(n, alpha).T @ S @ rpfrct_matrix(n, beta)
 
 
 class BasisPair:

@@ -132,13 +132,16 @@ def keygen(seed, M, sr, alpha, beta=1.0, dmax=60, mix_count=0, mix_region=0.25):
         raise ValueError("signal length M must be even and >= 2")
     if not 0.0 < sr <= 1.0:
         raise ValueError("sampling rate must be in (0, 1]")
+    alpha, beta = float(alpha), float(beta)
+    if not (np.isfinite(alpha) and np.isfinite(beta)):
+        raise ValueError("fractional orders alpha and beta must be finite")
     if dmax < 1:
         raise ValueError("dmax must be a positive integer")
     if mix_count < 0:
         raise ValueError("mix_count must be >= 0")
     if not 0.0 < mix_region <= 1.0:
         raise ValueError("mix_region must be in (0, 1]")
-    key = BlpKey(seed=seed, M=int(M), sr=float(sr), alpha=float(alpha), beta=float(beta),
+    key = BlpKey(seed=seed, M=int(M), sr=float(sr), alpha=alpha, beta=beta,
                  dmax=int(dmax), mix_count=int(mix_count), mix_region=float(mix_region))
     if key.mix_count > 0:
         key.basis_spec()  # fail fast if the region cannot host the mixes
@@ -286,6 +289,8 @@ def read_key_file(path):
             name, _, val = line.partition("=")
             if name not in _KEY_FIELDS:
                 raise FormatError(f"{path}:{lineno}: unknown key field {name!r}")
+            if name in values:
+                raise FormatError(f"{path}:{lineno}: duplicated key field {name!r}")
             values[name] = val
     missing = [f for f in _KEY_FIELDS if f not in values]
     if missing:

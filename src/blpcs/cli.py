@@ -21,9 +21,8 @@ from .cipher import (blp_encode, drpe_cs_encode, drpe_masks, keygen, read_key_fi
                      scramble_measurements_encode, write_key_file)
 from .ensembles import antipodal_scaled_matrix, gaussian_matrix
 from .errors import FormatError, GuardError
-from .imaging import (ChannelModel, apply_channel, apsnr_db, bcs_in_decode,
-                      bcs_in_encode, columnwise_decode, columnwise_encode,
-                      load_pgm, make_test_image, psnr, save_pgm)
+from .imaging import (ChannelModel, apply_channel, apsnr_db, columnwise_decode,
+                      columnwise_encode, load_pgm, make_test_image, psnr, save_pgm)
 from .keyrand import derive_stream
 from .solvers import ista_bpdn, two_step_decode
 
@@ -140,16 +139,14 @@ def run_table(seed, which, trials=10, n=512, srs=(0.1, 0.3, 0.5, 0.7),
             for t, key in enumerate(keys):
                 ck = (t, model)
                 if ck not in encoded:
-                    encoded[ck] = (columnwise_encode(key, img) if model == "blp-cs"
-                                   else bcs_in_encode(key, img))
+                    encoded[ck] = columnwise_encode(key, img, scramble=model == "blp-cs")
                 pkts = encoded[ck]
                 if channel != "ideal":
                     cm = ChannelModel(kind=channel, noise_var=1.0 if channel == "awgn" else 0.0,
                                       plr=plr)
                     cs = derive_stream(seed, f"{which}/chan/{sr}/{channel}/{plr}/{t}")
                     pkts = apply_channel(pkts, cm, cs)
-                rec = (columnwise_decode(key, pkts) if model == "blp-cs"
-                       else bcs_in_decode(key, pkts))
+                rec = columnwise_decode(key, pkts, scramble=model == "blp-cs")
                 ratios.append(_image_ratio(img, rec))
             seconds = time.monotonic() - t0 if timings else 0.0
             rows.append(("standin", f"{sr:g}", model, channel, f"{plr:g}",
@@ -254,8 +251,7 @@ def _cmd_keygen(args):
 def _cmd_encode(args):
     key = read_key_file(args.key)
     image = load_pgm(args.input)
-    packets = (bcs_in_encode(key, image) if args.baseline
-               else columnwise_encode(key, image))
+    packets = columnwise_encode(key, image, scramble=not args.baseline)
     save_measurements(args.out, packets, key.K)
     return 0
 
@@ -264,8 +260,9 @@ def _cmd_decode(args):
     packets, K = load_measurements(args.input)
     if K != key.K:
         raise FormatError(f"{args.input}: measurement count {K} does not match key K={key.K}")
-    rec = (bcs_in_decode(key, packets) if args.baseline
-           else columnwise_decode(key, packets))
+    if len(packets) != key.M:
+        raise FormatError(f"{args.input}: {len(packets)} packets do not match key M={key.M}")
+    rec = columnwise_decode(key, packets, scramble=not args.baseline)
     save_pgm(rec, args.out)
     if args.reference:
         ref = load_pgm(args.reference)

@@ -2,11 +2,10 @@
 
 Covers the classical restricted-isometry ensembles (Gaussian, Bernoulli),
 the antipodal column-scaled ensemble whose coherence grows with the scaling
-spread, the sample-count bound of the coherence-based (RIPless) recovery
-theory, and an empirical Monte-Carlo estimate of the isometry constant.
+spread, an empirical Monte-Carlo estimate of the isometry constant, and the
+BLPM matrix file format.
 """
 
-from dataclasses import dataclass
 import struct
 
 import numpy as np
@@ -14,44 +13,15 @@ import numpy as np
 from .errors import FormatError
 
 __all__ = [
-    "EnsembleSpec",
     "gaussian_matrix",
     "bernoulli_matrix",
     "antipodal_scaled_matrix",
-    "coherence_parameter",
-    "covariance_condition",
-    "ripless_sample_bound",
     "rip_check_montecarlo",
-    "block_diagonal_apply",
     "save_matrix",
     "load_matrix",
 ]
 
 _MAGIC = b"BLPM"
-
-
-@dataclass
-class EnsembleSpec:
-    """Row-distribution summary of a measurement ensemble.
-
-    kind is one of ``gaussian``, ``bernoulli``, ``antipodal-scaled``; d holds
-    the per-column scale factors of the antipodal ensemble (positive reals).
-    """
-
-    kind: str
-    K: int
-    M: int
-    d: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("gaussian", "bernoulli", "antipodal-scaled"):
-            raise ValueError(f"unsupported ensemble kind: {self.kind!r}")
-        if self.kind == "antipodal-scaled":
-            if self.d is None:
-                raise ValueError("antipodal-scaled ensemble needs scale factors d")
-            self.d = np.asarray(self.d, dtype=float)
-            if self.d.shape != (self.M,) or np.any(self.d <= 0):
-                raise ValueError("d must hold M positive scale factors")
 
 
 def gaussian_matrix(stream, K, M, normalize_columns=False):
@@ -78,38 +48,6 @@ def antipodal_scaled_matrix(stream, K, M, d):
     return bernoulli_matrix(stream, K, M) * d[None, :]
 
 
-def coherence_parameter(spec):
-    """Coherence mu(F) of the row distribution against the canonical basis.
-
-    For the antipodal-scaled ensemble this is max_j d_j; Gaussian and
-    Bernoulli rows are treated as the O(1) reference case.
-    """
-    if spec.kind == "antipodal-scaled":
-        return float(np.max(spec.d))
-    if spec.kind in ("gaussian", "bernoulli"):
-        return 1.0
-    raise ValueError(f"unsupported ensemble kind: {spec.kind!r}")
-
-def covariance_condition(spec):
-    """Condition number of the row covariance square root.
-
-    The antipodal-scaled covariance root is diag(d_j), so the value is
-    max_j d_j / min_j d_j; it is 1 for the isotropic ensembles.
-    """
-    if spec.kind == "antipodal-scaled":
-        return float(np.max(spec.d) / np.min(spec.d))
-    if spec.kind in ("gaussian", "bernoulli"):
-        return 1.0
-    raise ValueError(f"unsupported ensemble kind: {spec.kind!r}")
-
-def ripless_sample_bound(mu, theta, k, M, omega=1.0):
-    """Sample count mu * theta * omega^2 * k * ln(M) needed by coherence-based
-    recovery (hidden constant taken as 1; useful for relative comparisons)."""
-    if min(mu, theta, k, M, omega) <= 0:
-        raise ValueError("all arguments must be positive")
-    return mu * theta * omega**2 * k * np.log(M)
-
-
 def rip_check_montecarlo(A, k, trials, stream):
     """Empirical lower bound on the order-k isometry constant of A.
 
@@ -132,18 +70,6 @@ def rip_check_montecarlo(A, k, trials, stream):
         Ax = A[:, T] @ x
         worst = max(worst, abs(float(Ax @ Ax) / nx - 1.0))
     return worst
-
-
-def block_diagonal_apply(A, X):
-    """Apply diag(A, ..., A) to the stacked columns of X without forming it.
-
-    Column j of the result is A @ X[:, j]; X may also be a vector.
-    """
-    A = np.asarray(A, dtype=float)
-    X = np.asarray(X, dtype=float)
-    if X.shape[0] != A.shape[1]:
-        raise ValueError(f"shape mismatch: A is {A.shape}, X has {X.shape[0]} rows")
-    return A @ X
 
 
 def save_matrix(path, A):

@@ -32,8 +32,6 @@ __all__ = [
     "acceptable_permutation_stats",
     "columnwise_encode",
     "columnwise_decode",
-    "bcs_in_encode",
-    "bcs_in_decode",
     "psnr",
     "apsnr_db",
     "apply_channel",
@@ -193,6 +191,8 @@ def columnwise_encode(key, image, scramble=True):
     Pipeline: 2-D fractional cosine coefficients, global scrambling, column
     scaling, then the shared K x n Gaussian matrix applied to every
     coefficient column (the block-diagonal sensing matrix, applied blockwise).
+    ``scramble=False`` leaves the scrambling out: the unscrambled baseline
+    (BCS-IN) the scrambled pipeline is compared against.
     """
     image, n = _check_image(key, image)
     forward, _ = key.basis(two_d=True, scramble=scramble)
@@ -237,15 +237,6 @@ def columnwise_decode(key, packets, config=None, scramble=True):
     n = key.M
     image = inverse(Shat.flatten(order="F")).reshape((n, n), order="F")
     return np.clip(image, 0.0, 255.0)
-
-
-def bcs_in_encode(key, image):
-    """Baseline encode: the identical pipeline with the scrambling removed."""
-    return columnwise_encode(key, image, scramble=False)
-
-def bcs_in_decode(key, packets, config=None):
-    """Baseline decode matching :func:`bcs_in_encode`."""
-    return columnwise_decode(key, packets, config=config, scramble=False)
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,6 @@ __all__ = [
     "RandStream",
     "Permutation",
     "derive_stream",
-    "next_uniform",
-    "next_gaussian",
-    "random_permutation",
 ]
 
 _U64 = 2**64
@@ -164,17 +161,3 @@ def derive_stream(seed, label):
     key = np.array([seed, word], dtype=np.uint64)
     return RandStream(np.random.Philox(key=key), label)
 
-
-def next_uniform(stream):
-    """One uniform draw in [0, 1) from the stream."""
-    return stream.uniform()
-
-
-def next_gaussian(stream):
-    """One standard normal draw from the stream."""
-    return stream.gaussian()
-
-
-def random_permutation(stream, n):
-    """Uniform random permutation of {0..n-1} drawn from the stream."""
-    return stream.permutation(n)

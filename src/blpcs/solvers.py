@@ -15,7 +15,6 @@ Three routes with different regimes and guarantees:
 which is the decoding pattern of the bi-level cipher.
 """
 
-import threading
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -27,7 +26,6 @@ from .errors import GuardError
 __all__ = [
     "SolverConfig",
     "RecoveryReport",
-    "SparseRep",
     "omp_recover",
     "subspace_pursuit",
     "ista_bpdn",
@@ -61,69 +59,19 @@ class RecoveryReport:
     notes: str = ""
 
 
-@dataclass
-class SparseRep:
-    """Support-indexed sparse coefficient vector."""
-
-    length: int
-    support: np.ndarray
-    values: np.ndarray
-
-    def to_dense(self):
-        x = np.zeros(self.length, dtype=self.values.dtype if self.values.size else float)
-        x[self.support] = self.values
-        return x
-
-    @property
-    def sparsity(self):
-        return int(self.support.size)
-
-
-# ---------------------------------------------------------------------------
-# cached per-matrix factorizations (the offline-pseudoinverse reuse argument:
-# the same sensing matrix decodes many measurement vectors; concurrent solves
-# sharing one matrix may race only into a harmless recompute)
-
-_FACT_CACHE = {}
-_FACT_CACHE_CAP = 32
-_FACT_LOCK = threading.Lock()
-
-
-def _matrix_cache(A):
-    with _FACT_LOCK:
-        ent = _FACT_CACHE.get(id(A))
-        if ent is None or ent[0] is not A:
-            if len(_FACT_CACHE) >= _FACT_CACHE_CAP:
-                _FACT_CACHE.clear()
-            ent = (A, {})
-            _FACT_CACHE[id(A)] = ent
-        return ent[1]
-
-
 def _spectral_norm_sq(A, iters=30):
-    """Squared spectral norm by deterministic power iteration, cached per matrix."""
-    cache = _matrix_cache(A)
-    if "L" not in cache:
-        M = A.shape[1]
-        v = np.ones(M) / np.sqrt(M)
-        for _ in range(iters):
-            w = A.conj().T @ (A @ v)
-            nw = np.linalg.norm(w)
-            if nw == 0:
-                cache["L"] = 0.0
-                return 0.0
-            v = w / nw
-        # 1% headroom so the 1/L step stays a descent step even if the
-        # iteration has not fully converged
-        cache["L"] = float(np.linalg.norm(A @ v) ** 2) * 1.01
-    return cache["L"]
-
-
-def _square_pinv(A):
-    cache = _matrix_cache(A)
-    if "pinv" not in cache:
-        cache["pinv"] = np.linalg.pinv(A)
-    return cache["pinv"]
+    """Squared spectral norm by deterministic power iteration."""
+    M = A.shape[1]
+    v = np.ones(M) / np.sqrt(M)
+    for _ in range(iters):
+        w = A.conj().T @ (A @ v)
+        nw = np.linalg.norm(w)
+        if nw == 0:
+            return 0.0
+        v = w / nw
+    # 1% headroom so the 1/L step stays a descent step even if the
+    # iteration has not fully converged
+    return float(np.linalg.norm(A @ v) ** 2) * 1.01
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +182,7 @@ def _soft(Z, th):
     return np.sign(Z) * np.maximum(np.abs(Z) - th, 0.0)
 
 
-def ista_bpdn_batch(A, Y, config=None, mask=None, obj_trace=None):
+def ista_bpdn_batch(A, Y, config=None, mask=None, obj_trace=None, stop_trace=None):
     """Solve min 0.5||y - A s||^2 + lambda ||s||_1 for every column of Y.
 
     All columns share A, so the iteration runs as dense matrix products.
@@ -242,8 +190,11 @@ def ista_bpdn_batch(A, Y, config=None, mask=None, obj_trace=None):
     rows take no part in the fit, which is exactly the subsetted-rows
     problem of packet-loss decoding.  Returns the estimate matrix.
 
-    When ``obj_trace`` is a list, the composite objective (summed over
-    columns) is appended after every iteration.
+    At most ``config.max_iters`` iterations run, split evenly over the
+    continuation stages.  When ``obj_trace`` is a list, the composite
+    objective (summed over columns) is appended after every iteration; when
+    ``stop_trace`` is a list, one flag per stage is appended, true when that
+    stage's stopping test fired.
     """
     config = config or SolverConfig()
     A = np.asarray(A, dtype=float)
@@ -265,32 +216,33 @@ def ista_bpdn_batch(A, Y, config=None, mask=None, obj_trace=None):
     corr[corr == 0] = 1.0
     if config.continuation:
         lam_lo = np.array([_lam_floor(r / M, config.lam) for r in rows])
-        stages = _STAGES
+        stages = min(_STAGES, config.max_iters)
     else:
         lam_lo = np.full(ncol, config.lam)
         stages = 1
     S = np.zeros((M, ncol))
-    per_stage = max(1, config.max_iters // stages)
-    prev_obj = None
+    R = Y.copy()  # the residual of S = 0; Y is already masked
+    per_stage = config.max_iters // stages
     for st in range(stages):
         frac = st / (stages - 1) if stages > 1 else 1.0
         lam = _LAM_HI * (lam_lo / _LAM_HI) ** frac if stages > 1 else lam_lo
         th = (lam * corr) / L
         prev_obj = None
+        stopped = False
         for _ in range(per_stage):
+            S = _soft(S + (A.T @ R) / L, th[None, :])
             R = Y - A @ S
             if mask is not None:
                 R *= mask
-            S = _soft(S + (A.T @ R) / L, th[None, :])
-            Rn = Y - A @ S
-            if mask is not None:
-                Rn *= mask
-            obj = 0.5 * np.sum(Rn * Rn) + np.sum(lam * corr * np.abs(S).sum(axis=0))
+            obj = 0.5 * np.sum(R * R) + np.sum(lam * corr * np.abs(S).sum(axis=0))
             if obj_trace is not None:
                 obj_trace.append(float(obj))
             if prev_obj is not None and abs(prev_obj - obj) <= config.residual_tol * max(prev_obj, 1.0):
+                stopped = True
                 break
             prev_obj = obj
+        if stop_trace is not None:
+            stop_trace.append(stopped)
     if config.debias:
         for j in range(ncol):
             sup = np.flatnonzero(S[:, j])
@@ -312,15 +264,20 @@ def ista_bpdn(A, y, config=None, obj_trace=None):
 
     The composite objective is non-increasing within each continuation
     stage (step size 1/L with L from power iteration guarantees descent).
+    The report counts the iterations that ran, and it is converged only
+    when the stopping test of the last continuation stage fired.
     """
     config = config or SolverConfig()
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
-    S = ista_bpdn_batch(A, y[:, None], config=config, obj_trace=obj_trace)
+    trace = [] if obj_trace is None else obj_trace
+    before = len(trace)
+    stops = []
+    S = ista_bpdn_batch(A, y[:, None], config=config, obj_trace=trace, stop_trace=stops)
     x = S[:, 0]
     resid = float(np.linalg.norm(y - A @ x))
-    return RecoveryReport(estimate=x, residual_l2=resid,
-                          iterations=config.max_iters, converged=True)
+    return RecoveryReport(estimate=x, residual_l2=resid, iterations=len(trace) - before,
+                          converged=bool(stops) and stops[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +291,8 @@ def l0_bruteforce(A, y, k):
 
     Every candidate support gets a least-squares fit; the smallest residual
     wins, preferring smaller supports on ties.  Guarded to about 1e6
-    candidate supports.
+    candidate supports.  The report's ``iterations`` is the number of
+    supports searched.
     """
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -344,20 +302,18 @@ def l0_bruteforce(A, y, k):
     total = sum(comb(M, j) for j in range(1, k + 1))
     if total > _L0_GUARD:
         raise GuardError(f"l0 search over {total} supports exceeds the {_L0_GUARD} guard")
+    x = np.zeros(M)
     best_resid = float(np.linalg.norm(y))
-    best_support: tuple[int, ...] = ()
-    best_values = np.zeros(0)
     for size in range(1, k + 1):
         for T in combinations(range(M), size):
             sol, *_ = np.linalg.lstsq(A[:, T], y, rcond=None)
             resid = float(np.linalg.norm(y - A[:, T] @ sol))
             if resid < best_resid - 1e-12:
                 best_resid = resid
-                best_support = T
-                best_values = sol
-    return SparseRep(length=M,
-                     support=np.array(best_support, dtype=np.int64),
-                     values=np.asarray(best_values, dtype=float))
+                x[:] = 0.0
+                x[list(T)] = sol
+    return RecoveryReport(estimate=x, residual_l2=best_resid, iterations=total,
+                          converged=True)
 
 
 # ---------------------------------------------------------------------------
@@ -371,15 +327,14 @@ def two_step_decode(A, basis_apply, y, config=None, solver="bp", budget=None):
     keeps the equality-feasible candidate of least l1 norm; ``omp`` and
     ``ista`` run a single route.  Complex systems are supported everywhere
     except ``ista``.  Returns (signal estimate, step-1 recovery report).
-    For a square A the coefficients come from the cached pseudoinverse
-    directly.
+    A square A is solved directly.
     """
     config = config or SolverConfig()
     A = np.asarray(A)
     y = np.asarray(y).ravel()
     K, M = A.shape
     if K == M:
-        s = _square_pinv(A) @ y
+        s = np.linalg.solve(A, y)
         resid = float(np.linalg.norm(y - A @ s))
         report = RecoveryReport(estimate=s, residual_l2=resid, iterations=0,
                                 converged=True, notes="square system, direct solve")

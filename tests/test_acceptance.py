@@ -192,7 +192,7 @@ def test_criterion_8_oracle_equivalence():
         x[st.subset(8, k)] = (1.0 + st.uniform(k)) * np.where(st.uniform(k) < 0.5, 1.0, -1.0)
         y = A @ x
         best = l0_bruteforce(A, y, 2)
-        best_resid = float(np.linalg.norm(y - A @ best.to_dense()))
+        best_resid = float(np.linalg.norm(y - A @ best.estimate))
         rep = omp_recover(A, y, 2)
         dominated += rep.residual_l2 >= best_resid - 1e-9
         if rep.residual_l2 > best_resid + 1e-9:

@@ -8,7 +8,7 @@ import pytest
 from blpcs.bases import (BasisPair, SecretBasisSpec, best_s_term, build_secret_basis,
                          corner_region_1d, corner_region_2d, dct_eigensystem, dct_matrix,
                          dfrct_matrix, f1_scale, f2_permute, f3_mix, rpfrct2d_basis,
-                         rpfrct2d_forward, rpfrct2d_inverse, rpfrct_basis, rpfrct_matrix)
+                         rpfrct_basis, rpfrct_matrix)
 from blpcs.imaging import make_test_image
 from blpcs.keyrand import derive_stream
 
@@ -85,19 +85,21 @@ def test_rpfrct_matches_complex_packing_oracle():
 
 
 def test_rpfrct2d_identity_and_isometry():
-    X = derive_stream(2, "X").gaussian((6, 6))
-    assert np.allclose(rpfrct2d_forward(X, 0.0, 0.0), X, atol=1e-8)
-    S = rpfrct2d_forward(X, 0.9, 0.8)
-    assert np.linalg.norm(S) == pytest.approx(np.linalg.norm(X), abs=1e-8)
-    assert np.allclose(rpfrct2d_inverse(S, 0.9, 0.8), X, atol=1e-8)
+    x = derive_stream(2, "X").gaussian((6, 6)).flatten(order="F")
+    assert np.allclose(rpfrct2d_basis(6, 0.0, 0.0).to_coeffs(x), x, atol=1e-8)
+    basis = rpfrct2d_basis(6, 0.9, 0.8)
+    s = basis.to_coeffs(x)
+    assert np.linalg.norm(s) == pytest.approx(np.linalg.norm(x), abs=1e-8)
+    assert np.allclose(basis.from_coeffs(s), x, atol=1e-8)
 
 
 def test_rpfrct2d_matches_kronecker_oracle():
-    X = derive_stream(3, "X").gaussian((4, 4))
+    x = derive_stream(3, "X").gaussian((4, 4)).flatten(order="F")
     a, b = 0.85, 0.75
-    S = rpfrct2d_forward(X, a, b)
+    basis = rpfrct2d_basis(4, a, b)
     big = np.kron(rpfrct_matrix(4, b), rpfrct_matrix(4, a))
-    assert np.allclose(S.flatten(order="F"), big @ X.flatten(order="F"), atol=1e-10)
+    assert np.allclose(basis.from_coeffs(x), big @ x, atol=1e-10)
+    assert np.allclose(basis.to_coeffs(x), big.T @ x, atol=1e-10)
 
 
 def _identity_basis(n):

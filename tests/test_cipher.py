@@ -27,6 +27,29 @@ def test_keygen_validation():
         keygen(2**64, 16, 0.5, 1.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_keygen_rejects_non_finite_orders(tmp_path, bad):
+    with pytest.raises(ValueError):
+        keygen(1, 16, 0.5, bad)
+    with pytest.raises(ValueError):
+        keygen(1, 16, 0.5, 1.0, beta=bad)
+    p = tmp_path / "k.key"
+    write_key_file(keygen(1, 16, 0.5, 1.0), p)
+    p.write_text(p.read_text().replace("alpha=1.0", f"alpha={bad}"))
+    with pytest.raises(FormatError):
+        read_key_file(p)
+
+
+def test_key_file_rejects_duplicated_field(tmp_path):
+    p = tmp_path / "k.key"
+    write_key_file(keygen(1, 16, 0.5, 1.0), p)
+    text = p.read_text()
+    read_key_file(p)
+    p.write_text(text + "sr=0.25\n")
+    with pytest.raises(FormatError, match="duplicated"):
+        read_key_file(p)
+
+
 def test_keygen_deterministic_and_seed_sensitive():
     k1 = keygen(1, 64, 0.5, 0.99, 0.95, dmax=8)
     k2 = keygen(1, 64, 0.5, 0.99, 0.95, dmax=8)

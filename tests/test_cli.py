@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import blpcs.cli as cli
+from blpcs.cipher import load_measurements, save_measurements
 from blpcs.errors import GuardError
 from blpcs.imaging import make_test_image, save_pgm
 
@@ -28,6 +29,14 @@ def test_keygen_rejects_bad_rate(tmp_path):
     rc = cli.main(["keygen", "--seed", "1", "--n", "64", "--sr", "1.5",
                    "--out", str(tmp_path / "k.key")])
     assert rc == 2
+
+
+def test_keygen_rejects_non_finite_alpha(tmp_path):
+    out = tmp_path / "k.key"
+    rc = cli.main(["keygen", "--seed", "1", "--n", "64", "--sr", "0.5",
+                   "--alpha", "nan", "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
 
 
 def test_encode_decode_roundtrip_full_rate(tmp_path, capsys):
@@ -74,6 +83,20 @@ def test_decode_rejects_mismatched_key(tmp_path):
     meas = tmp_path / "m.blpy"
     cli.main(["encode", "--key", str(k1), "--in", str(ref), "--out", str(meas)])
     rc = cli.main(["decode", "--key", str(k2), "--in", str(meas),
+                   "--out", str(tmp_path / "r.pgm")])
+    assert rc == 3
+
+
+def test_decode_rejects_missing_packet(tmp_path):
+    img = tmp_path / "in.pgm"
+    save_pgm(make_test_image(64), img)
+    key = tmp_path / "k.key"
+    cli.main(["keygen", "--seed", "1", "--n", "64", "--sr", "0.5", "--out", str(key)])
+    meas = tmp_path / "m.blpy"
+    cli.main(["encode", "--key", str(key), "--in", str(img), "--out", str(meas)])
+    packets, K = load_measurements(meas)
+    save_measurements(meas, packets[:-1], K)
+    rc = cli.main(["decode", "--key", str(key), "--in", str(meas),
                    "--out", str(tmp_path / "r.pgm")])
     assert rc == 3
 

@@ -1,14 +1,12 @@
-"""Ensemble construction, RIPless quantities, and the isometry estimate."""
+"""Ensemble construction, the isometry estimate, and the matrix file format."""
 
 import math
 
 import numpy as np
 import pytest
 
-from blpcs.ensembles import (EnsembleSpec, antipodal_scaled_matrix, bernoulli_matrix,
-                             block_diagonal_apply, coherence_parameter,
-                             covariance_condition, gaussian_matrix, load_matrix,
-                             rip_check_montecarlo, ripless_sample_bound, save_matrix)
+from blpcs.ensembles import (antipodal_scaled_matrix, bernoulli_matrix, gaussian_matrix,
+                             load_matrix, rip_check_montecarlo, save_matrix)
 from blpcs.errors import FormatError
 from blpcs.keyrand import derive_stream
 from blpcs.solvers import omp_recover
@@ -77,45 +75,6 @@ def test_antipodal_with_unit_scales_is_bernoulli():
     assert set(np.unique(Phi)) == {-1.0, 1.0}
 
 
-def test_coherence_and_covariance_closed_forms():
-    d = np.ones(16)
-    spec = EnsembleSpec("antipodal-scaled", K=4, M=16, d=d)
-    assert coherence_parameter(spec) == 1.0
-    assert covariance_condition(spec) == 1.0
-
-    d2 = np.ones(16)
-    d2[3] = 60.0
-    spec2 = EnsembleSpec("antipodal-scaled", K=4, M=16, d=d2)
-    assert coherence_parameter(spec2) == 60.0
-    assert covariance_condition(spec2) == 60.0
-
-    s = derive_stream(7, "d")
-    d3 = s.integers(1, 61, 500).astype(float)
-    spec3 = EnsembleSpec("antipodal-scaled", K=60, M=500, d=d3)
-    assert coherence_parameter(spec3) == d3.max()
-    assert covariance_condition(spec3) == d3.max() / d3.min()
-
-    assert coherence_parameter(EnsembleSpec("bernoulli", K=4, M=16)) == 1.0
-    assert covariance_condition(EnsembleSpec("gaussian", K=4, M=16)) == 1.0
-
-
-def test_ensemble_spec_validation():
-    with pytest.raises(ValueError):
-        EnsembleSpec("fourier", K=4, M=16)
-    with pytest.raises(ValueError):
-        EnsembleSpec("antipodal-scaled", K=4, M=16)
-
-
-def test_ripless_sample_bound_values():
-    # direct evaluation: 1 * 1 * 1 * 10 * ln 500 = 62.146
-    assert abs(ripless_sample_bound(1, 1, 10, 500) - 10 * math.log(500)) < 1e-12
-    assert abs(ripless_sample_bound(1, 1, 10, 500) - 62.146) < 0.001
-    assert ripless_sample_bound(1, 1, 20, 500) == pytest.approx(
-        2 * ripless_sample_bound(1, 1, 10, 500))
-    # the non-RIP ensemble needs far more than the 60 rows it gets
-    assert ripless_sample_bound(60, 60, 10, 500) > 60
-
-
 def test_rip_check_orthonormal_is_isometry():
     C = np.linalg.qr(derive_stream(8, "q").gaussian((32, 32)))[0]
     est = rip_check_montecarlo(C, 5, 200, derive_stream(8, "mc"))
@@ -145,21 +104,6 @@ def test_rip_check_normalized_gaussian_mostly_below_090():
         A = gaussian_matrix(derive_stream(300 + t, "g"), K, M, normalize_columns=True)
         good += rip_check_montecarlo(A, k, 500, derive_stream(300 + t, "mc")) < 0.9
     assert good >= 19
-
-
-def test_block_diagonal_apply():
-    s = derive_stream(11, "b")
-    X = s.gaussian((4, 3))
-    assert np.allclose(block_diagonal_apply(np.eye(4), X), X)
-    A = s.gaussian((2, 4))
-    v = s.gaussian(4)
-    assert np.allclose(block_diagonal_apply(A, v), A @ v)
-    # matches the explicit Kronecker form on a small case
-    big = np.kron(np.eye(3), A)
-    assert np.allclose(block_diagonal_apply(A, X).flatten(order="F"),
-                       big @ X.flatten(order="F"))
-    with pytest.raises(ValueError):
-        block_diagonal_apply(A, np.zeros((5, 2)))
 
 
 def test_matrix_file_roundtrip(tmp_path):

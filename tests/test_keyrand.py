@@ -6,7 +6,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from blpcs.keyrand import Permutation, derive_stream, next_gaussian, next_uniform, random_permutation
+from blpcs.keyrand import Permutation, derive_stream
 
 
 def test_same_seed_same_label_replays():
@@ -53,7 +53,7 @@ def test_uniform_range_and_mean():
 def test_next_uniform_matches_stream_order():
     s1 = derive_stream(4, "seq")
     s2 = derive_stream(4, "seq")
-    singles = [next_uniform(s1) for _ in range(5)]
+    singles = [s1.uniform() for _ in range(5)]
     assert np.allclose(singles, s2.uniform(5))
 
 
@@ -73,12 +73,12 @@ def test_gaussian_central_mass():
 def test_next_gaussian_consumes_pairs():
     s1 = derive_stream(13, "pair")
     s2 = derive_stream(13, "pair")
-    singles = [next_gaussian(s1) for _ in range(4)]
+    singles = [s1.gaussian() for _ in range(4)]
     assert np.allclose(singles, s2.gaussian(4))
 
 
 def test_permutation_identity_for_n1():
-    p = random_permutation(derive_stream(5, "p"), 1)
+    p = derive_stream(5, "p").permutation(1)
     assert p.map.tolist() == [0]
 
 
