@@ -356,6 +356,12 @@ def load_measurements(path):
             entries = np.frombuffer(blob, dtype=_ENTRY_DTYPE)
             if cnt and entries["idx"].max() >= K:
                 raise FormatError(f"{path}: row index out of range")
+            if np.unique(entries["idx"]).size != entries.size:
+                raise FormatError(f"{path}: row index repeated within a packet")
+            if not np.isfinite(entries["val"]).all():
+                raise FormatError(f"{path}: non-finite measurement value")
             packets.append(MeasurementPacket(indices=entries["idx"].astype(np.int64),
                                              values=entries["val"].astype(float)))
+        if fh.read(1):
+            raise FormatError(f"{path}: trailing bytes after the last packet")
     return packets, int(K)

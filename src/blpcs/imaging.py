@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cipher import MeasurementPacket
-from .errors import FormatError
+from .errors import FormatError, GuardError
 from .keyrand import derive_stream
 from .solvers import SolverConfig, ista_bpdn_batch
 
@@ -81,10 +81,15 @@ def load_pgm(path):
 
 
 def save_pgm(image, path):
-    """Write an image as binary P5, clamping and rounding to 8-bit."""
+    """Write an image as binary P5, clamping and rounding to 8-bit.
+
+    A non-finite pixel raises :class:`GuardError` before the file is opened.
+    """
     image = np.asarray(image, dtype=float)
     if image.ndim != 2 or image.shape[0] != image.shape[1] or image.shape[0] % 2 != 0:
         raise ValueError("image must be square with even side")
+    if not np.isfinite(image).all():
+        raise GuardError("image has non-finite pixels")
     n = image.shape[0]
     pixels = np.clip(np.round(image), 0, 255).astype(np.uint8)
     with open(path, "wb") as fh:

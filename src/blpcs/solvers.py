@@ -178,10 +178,6 @@ def _lam_floor(ratio, requested):
     return float(min(_LAM_HI, max(adaptive, requested)))
 
 
-def _soft(Z, th):
-    return np.sign(Z) * np.maximum(np.abs(Z) - th, 0.0)
-
-
 def ista_bpdn_batch(A, Y, config=None, mask=None, obj_trace=None, stop_trace=None):
     """Solve min 0.5||y - A s||^2 + lambda ||s||_1 for every column of Y.
 
@@ -222,19 +218,36 @@ def ista_bpdn_batch(A, Y, config=None, mask=None, obj_trace=None, stop_trace=Non
         stages = 1
     S = np.zeros((M, ncol))
     R = Y.copy()  # the residual of S = 0; Y is already masked
+    # work buffers, so that the iteration allocates nothing of matrix size
+    Z = np.empty((M, ncol))
+    C = np.empty((M, ncol))
+    AS = np.empty((K, ncol))
     per_stage = config.max_iters // stages
     for st in range(stages):
         frac = st / (stages - 1) if stages > 1 else 1.0
         lam = _LAM_HI * (lam_lo / _LAM_HI) ** frac if stages > 1 else lam_lo
-        th = (lam * corr) / L
+        w = lam * corr
+        th = w / L
+        neg_th = -th
         prev_obj = None
         stopped = False
         for _ in range(per_stage):
-            S = _soft(S + (A.T @ R) / L, th[None, :])
-            R = Y - A @ S
+            # gradient step Z = S + A^T R / L
+            np.matmul(A.T, R, out=Z)
+            Z /= L
+            Z += S
+            # soft threshold as z - clip(z, -th, th): equal to
+            # sign(z) * max(|z| - th, 0) bit for bit except for the sign of zeros
+            np.maximum(Z, neg_th, out=C)
+            np.minimum(C, th, out=C)
+            np.subtract(Z, C, out=S)
+            np.matmul(A, S, out=AS)
+            np.subtract(Y, AS, out=R)
             if mask is not None:
                 R *= mask
-            obj = 0.5 * np.sum(R * R) + np.sum(lam * corr * np.abs(S).sum(axis=0))
+            np.multiply(R, R, out=AS)
+            np.abs(S, out=C)
+            obj = 0.5 * np.sum(AS) + np.sum(w * C.sum(axis=0))
             if obj_trace is not None:
                 obj_trace.append(float(obj))
             if prev_obj is not None and abs(prev_obj - obj) <= config.residual_tol * max(prev_obj, 1.0):

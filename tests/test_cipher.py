@@ -255,3 +255,22 @@ def test_measurement_file_rejects_garbage(tmp_path):
     save_measurements(path, [bad], K=4)
     with pytest.raises(FormatError):
         load_measurements(path)
+
+
+@pytest.mark.parametrize("defect, match", [
+    ("nan", "non-finite"), ("inf", "non-finite"),
+    ("repeated", "repeated"), ("trailing", "trailing"),
+])
+def test_measurement_file_rejects_malformed_packets(tmp_path, defect, match):
+    indices, values = np.array([0, 2, 3]), np.array([1.5, -2.0, 0.25])
+    if defect in ("nan", "inf"):
+        values[1] = float(defect)
+    elif defect == "repeated":
+        indices[2] = 0
+    path = tmp_path / "m.blpy"
+    save_measurements(path, [MeasurementPacket(indices=indices, values=values)], K=4)
+    if defect == "trailing":
+        load_measurements(path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(FormatError, match=match):
+        load_measurements(path)

@@ -87,18 +87,34 @@ def test_decode_rejects_mismatched_key(tmp_path):
     assert rc == 3
 
 
-def test_decode_rejects_missing_packet(tmp_path):
+def _encode_64(tmp_path):
+    """Key and BLPY file of the 64x64 stand-in at sr 0.5."""
     img = tmp_path / "in.pgm"
     save_pgm(make_test_image(64), img)
     key = tmp_path / "k.key"
     cli.main(["keygen", "--seed", "1", "--n", "64", "--sr", "0.5", "--out", str(key)])
     meas = tmp_path / "m.blpy"
     cli.main(["encode", "--key", str(key), "--in", str(img), "--out", str(meas)])
+    return key, meas
+
+
+def test_decode_rejects_missing_packet(tmp_path):
+    key, meas = _encode_64(tmp_path)
     packets, K = load_measurements(meas)
     save_measurements(meas, packets[:-1], K)
     rc = cli.main(["decode", "--key", str(key), "--in", str(meas),
                    "--out", str(tmp_path / "r.pgm")])
     assert rc == 3
+
+
+def test_decode_rejects_non_finite_measurement(tmp_path):
+    key, meas = _encode_64(tmp_path)
+    packets, K = load_measurements(meas)
+    packets[3].values[5] = float("nan")
+    save_measurements(meas, packets, K)
+    out = tmp_path / "r.pgm"
+    rc = cli.main(["decode", "--key", str(key), "--in", str(meas), "--out", str(out)])
+    assert rc == 3 and not out.exists()
 
 
 def test_malformed_inputs_exit_3(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from blpcs.cipher import keygen
-from blpcs.errors import FormatError
+from blpcs.errors import FormatError, GuardError
 from blpcs.imaging import (ChannelModel, acceptable_permutation_stats, apply_channel,
                            apsnr_db, column_sparsity, columnwise_decode,
                            columnwise_encode, load_pgm, make_test_image, psnr, save_pgm)
@@ -47,6 +47,15 @@ def test_pgm_rejections(tmp_path):
     path.write_bytes(b"P5\n2 2\n255\n" + bytes(3))  # truncated raster
     with pytest.raises(FormatError):
         load_pgm(path)
+
+
+def test_pgm_refuses_non_finite_image(tmp_path):
+    img = make_test_image(16)
+    img[3, 7] = np.nan
+    path = tmp_path / "nan.pgm"
+    with pytest.raises(GuardError):
+        save_pgm(img, path)
+    assert not path.exists()
 
 
 def test_pgm_comment_header(tmp_path):

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from blpcs.cipher import keygen
 from blpcs.errors import GuardError
+from blpcs.imaging import columnwise_encode, make_test_image
 from blpcs.keyrand import derive_stream
-from blpcs.solvers import (_LAM_HI, _STAGES, SolverConfig, _lam_floor, _soft,
-                           _spectral_norm_sq, ista_bpdn, ista_bpdn_batch, l0_bruteforce,
-                           omp_recover, subspace_pursuit, two_step_decode)
+from blpcs.solvers import (_LAM_HI, _STAGES, SolverConfig, _lam_floor, _spectral_norm_sq,
+                           ista_bpdn, ista_bpdn_batch, l0_bruteforce, omp_recover,
+                           subspace_pursuit, two_step_decode)
 
 
 def test_omp_identity_single_spike():
@@ -111,7 +113,8 @@ def test_ista_batch_matches_single():
 
 def _ista_two_residual_reference(A, Y, config, mask, obj_trace):
     """The batched ISTA loop as first written, without debias: it computes
-    the residual before and after every soft-threshold step."""
+    the residual before and after every soft-threshold step, and soft
+    thresholds as sign(z) * max(|z| - th, 0)."""
     K, M = A.shape
     ncol = Y.shape[1]
     L = _spectral_norm_sq(A)
@@ -139,7 +142,8 @@ def _ista_two_residual_reference(A, Y, config, mask, obj_trace):
             R = Y - A @ S
             if mask is not None:
                 R *= mask
-            S = _soft(S + (A.T @ R) / L, th[None, :])
+            Z = S + (A.T @ R) / L
+            S = np.sign(Z) * np.maximum(np.abs(Z) - th[None, :], 0.0)
             Rn = Y - A @ S
             if mask is not None:
                 Rn *= mask
@@ -151,19 +155,33 @@ def _ista_two_residual_reference(A, Y, config, mask, obj_trace):
     return S
 
 
-@pytest.mark.parametrize("masked", [False, True])
-@pytest.mark.parametrize("cfg", [SolverConfig(debias=False),
-                                 SolverConfig(debias=False, residual_tol=1e-4)])
-def test_ista_batch_matches_two_residual_reference(masked, cfg):
+def _reference_problems(masked):
+    """(A, Y, mask) triples: a small random system, one column of it (the
+    shape ista_bpdn passes), and an image-shaped system from a real key;
+    the masks drop about 30% of the measurements."""
     s = derive_stream(12, "ref")
     A = s.gaussian((30, 80))
     Y = s.gaussian((30, 6))
     mask = (s.uniform((30, 6)) >= 0.3).astype(float) if masked else None
-    want_trace, got_trace = [], []
-    want = _ista_two_residual_reference(A, Y, cfg, mask=mask, obj_trace=want_trace)
-    got = ista_bpdn_batch(A, Y, cfg, mask=mask, obj_trace=got_trace)
-    assert np.array_equal(got, want)
-    assert got_trace == want_trace
+    yield A, Y, mask
+    yield A, Y[:, [0]], None if mask is None else mask[:, [0]]
+    key = keygen(3, 128, 0.3, 1.0)
+    Y = np.stack([p.values for p in columnwise_encode(key, make_test_image(128))], axis=1)
+    mask = (s.uniform(Y.shape) >= 0.3).astype(float) if masked else None
+    yield key.sensing_matrix(), Y, mask
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("cfg", [SolverConfig(debias=False),
+                                 SolverConfig(debias=False, residual_tol=1e-4),
+                                 SolverConfig(debias=False, continuation=False)])
+def test_ista_batch_matches_two_residual_reference(masked, cfg):
+    for A, Y, mask in _reference_problems(masked):
+        want_trace, got_trace = [], []
+        want = _ista_two_residual_reference(A, Y, cfg, mask=mask, obj_trace=want_trace)
+        got = ista_bpdn_batch(A, Y, cfg, mask=mask, obj_trace=got_trace)
+        assert np.array_equal(got, want)
+        assert got_trace == want_trace
 
 
 def test_ista_report_counts_executed_iterations():
