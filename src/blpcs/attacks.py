@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import GuardError, LinearityError
 from .keyrand import derive_stream
-from .solvers import SolverConfig, omp_recover, two_step_decode
+from .solvers import omp_recover, two_step_decode
 
 __all__ = [
     "EncryptionOracle",
@@ -80,7 +80,7 @@ def cpa_recover_matrix(oracle, spot_checks=2, stream=None):
     return AttackReport(recovered_matrix=R, queries_used=queries)
 
 
-def cpa_break_and_decode(recovered, c, public_basis=None, config=None, budget=None):
+def cpa_break_and_decode(recovered, c, public_basis=None):
     """Decode a ciphertext with the attacker's recovered matrix.
 
     Solves the sparse fit against recovered @ public_basis (identity when no
@@ -92,12 +92,11 @@ def cpa_break_and_decode(recovered, c, public_basis=None, config=None, budget=No
     recovered = np.asarray(recovered)
     c = np.asarray(c).ravel()
     B = recovered if public_basis is None else recovered @ public_basis
-    s, _ = two_step_decode(B, lambda v: v, c, config=config, solver="bp",
-                           budget=budget)
+    s, _ = two_step_decode(B, lambda v: v, c)
     return s if public_basis is None else public_basis @ s
 
 
-def wrong_key_recovery_demo(A, A_wrong, y, x_true=None, config=None):
+def wrong_key_recovery_demo(A, A_wrong, y, x_true=None):
     """Fit y with a sensing matrix the encoder never used.
 
     A generic K x M Gaussian matrix fits any K measurements exactly with at
@@ -108,7 +107,7 @@ def wrong_key_recovery_demo(A, A_wrong, y, x_true=None, config=None):
     A_wrong = np.asarray(A_wrong, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     K = A_wrong.shape[0]
-    report = omp_recover(A_wrong, y, K, config or SolverConfig())
+    report = omp_recover(A_wrong, y, K)
     x_prime = report.estimate
     rel = float("nan")
     success = None

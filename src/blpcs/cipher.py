@@ -156,7 +156,7 @@ def blp_encode(key, x):
     forward, _ = key.basis()
     return key.sensing_matrix() @ forward(x)
 
-def blp_decode(key, y, config=None, solver="bp"):
+def blp_decode(key, y):
     """Two-step decode: l1-solve against A_K, then apply Psi_K.
 
     Returns (estimate, step-1 recovery report).
@@ -165,7 +165,7 @@ def blp_decode(key, y, config=None, solver="bp"):
     if y.size != key.K:
         raise ValueError(f"ciphertext length {y.size} does not match key K={key.K}")
     _, inverse = key.basis()
-    return two_step_decode(key.sensing_matrix(), inverse, y, config=config, solver=solver)
+    return two_step_decode(key.sensing_matrix(), inverse, y)
 
 
 # ---------------------------------------------------------------------------
@@ -278,20 +278,24 @@ def write_key_file(key, path):
 
 def read_key_file(path):
     """Parse a key file written by :func:`write_key_file`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: key file is not UTF-8 text") from exc
     values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise FormatError(f"{path}:{lineno}: expected name=value")
-            name, _, val = line.partition("=")
-            if name not in _KEY_FIELDS:
-                raise FormatError(f"{path}:{lineno}: unknown key field {name!r}")
-            if name in values:
-                raise FormatError(f"{path}:{lineno}: duplicated key field {name!r}")
-            values[name] = val
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise FormatError(f"{path}:{lineno}: expected name=value")
+        name, _, val = line.partition("=")
+        if name not in _KEY_FIELDS:
+            raise FormatError(f"{path}:{lineno}: unknown key field {name!r}")
+        if name in values:
+            raise FormatError(f"{path}:{lineno}: duplicated key field {name!r}")
+        values[name] = val
     missing = [f for f in _KEY_FIELDS if f not in values]
     if missing:
         raise FormatError(f"{path}: missing key fields: {', '.join(missing)}")
@@ -350,6 +354,8 @@ def load_measurements(path):
             if len(raw) != 4:
                 raise FormatError(f"{path}: truncated packet header")
             (cnt,) = np.frombuffer(raw, dtype="<u4")
+            if cnt > K:
+                raise FormatError(f"{path}: packet holds {cnt} entries, more than K={K}")
             blob = fh.read(int(cnt) * _ENTRY_DTYPE.itemsize)
             if len(blob) != int(cnt) * _ENTRY_DTYPE.itemsize:
                 raise FormatError(f"{path}: truncated packet payload")

@@ -8,13 +8,15 @@ reruns produce byte-identical CSV.
 """
 
 import argparse
+import math
 import os
 import sys
 import time
 
 import numpy as np
 
-from .attacks import cpa_break_and_decode, cpa_recover_matrix, EncryptionOracle
+from .attacks import (EncryptionOracle, cpa_break_and_decode, cpa_recover_matrix,
+                      proximity_scatter)
 from .bases import best_s_term, dct_matrix, rpfrct_matrix, rpfrct2d_basis
 from .cipher import (blp_encode, drpe_cs_encode, drpe_masks, keygen, read_key_file,
                      load_measurements, save_measurements, scramble_frequency_encode,
@@ -57,18 +59,23 @@ def _rel_error(estimate, truth):
 # ---------------------------------------------------------------------------
 # experiment: the antipodal non-RIP example
 
-def run_fig1(seed, trials=100, M=500, k=10, K=60, dmax=60):
+# signal length, sparsity, rows and largest column scale of the example
+_FIG1_M, _FIG1_SPARSITY, _FIG1_K, _FIG1_DMAX = 500, 10, 60, 60
+
+
+def run_fig1(seed, trials=100):
     """Two-step versus direct recovery for the antipodal-scaled ensemble.
 
     Column j of the measurement matrix takes values +-d_j; dividing out the
     scales turns the matrix into a Bernoulli one, so recovery after the
     rescale is exact while direct l1 on the raw matrix is not.
     """
+    M, k = _FIG1_M, _FIG1_SPARSITY
     rows = []
     for t in range(trials):
         st = derive_stream(seed, f"fig1/{t}")
-        d = st.integers(1, dmax + 1, M).astype(float)
-        Phi = antipodal_scaled_matrix(st, K, M, d)
+        d = st.integers(1, _FIG1_DMAX + 1, M).astype(float)
+        Phi = antipodal_scaled_matrix(st, _FIG1_K, M, d)
         x = np.zeros(M)
         x[st.subset(M, k)] = 1.0
         y = Phi @ x
@@ -83,16 +90,22 @@ def run_fig1(seed, trials=100, M=500, k=10, K=60, dmax=60):
 # ---------------------------------------------------------------------------
 # experiment: best s-term quality versus fractional order
 
-def run_sterm(n=128, s_fraction=0.10, orders=(0.92, 0.95, 0.99, 1.0)):
+# crop side, kept coefficient share and fractional orders of the sweep
+_STERM_N, _STERM_S_FRACTION = 128, 0.10
+_STERM_ORDERS = (0.92, 0.95, 0.99, 1.0)
+
+
+def run_sterm():
     """Best s-term reconstruction quality relative to the order-1 transform.
 
     The reference is the same pipeline at orders (1, 1), where the transform
     reduces to blockwise cosine transforms.
     """
+    n = _STERM_N
     full = make_test_image(512)
     off = 288
     image = full[off:off + n, off:off + n]
-    s = int(round(s_fraction * n * n))
+    s = int(round(_STERM_S_FRACTION * n * n))
     vec = image.flatten(order="F")
 
     def s_term_psnr(alpha, beta):
@@ -103,8 +116,8 @@ def run_sterm(n=128, s_fraction=0.10, orders=(0.92, 0.95, 0.99, 1.0)):
 
     ref = s_term_psnr(1.0, 1.0)
     rows = []
-    for a in orders:
-        for b in orders:
+    for a in _STERM_ORDERS:
+        for b in _STERM_ORDERS:
             val = s_term_psnr(a, b)
             rows.append((f"{a:g}", f"{b:g}", s, f"{val:.3f}", f"{ref:.3f}",
                          f"{val / ref:.6f}"))
@@ -118,8 +131,11 @@ def _image_ratio(img, rec):
     return img.size * 255.0**2 / float(np.sum((img - rec) ** 2))
 
 
-def run_table(seed, which, trials=10, n=512, srs=(0.1, 0.3, 0.5, 0.7),
-              alpha=0.99, beta=0.95, dmax=16, timings=False):
+_TABLE_SRS = (0.1, 0.3, 0.5, 0.7)
+
+
+def run_table(seed, which, trials=10, n=512, alpha=0.99, beta=0.95, dmax=16,
+              timings=False):
     """APSNR of the scrambled pipeline (and its unscrambled baseline or the
     noisy/lossy channels) on the stand-in image."""
     img = make_test_image(n)
@@ -130,7 +146,7 @@ def run_table(seed, which, trials=10, n=512, srs=(0.1, 0.3, 0.5, 0.7),
                     ("blp-cs", "packet_loss", 0.1), ("blp-cs", "packet_loss", 0.2),
                     ("blp-cs", "packet_loss", 0.3)]
     rows = []
-    for sr in srs:
+    for sr in _TABLE_SRS:
         keys = [keygen(seed + t, n, sr, alpha, beta, dmax=dmax) for t in range(trials)]
         encoded = {}
         for model, channel, plr in variants:
@@ -157,85 +173,68 @@ def run_table(seed, which, trials=10, n=512, srs=(0.1, 0.3, 0.5, 0.7),
 # ---------------------------------------------------------------------------
 # experiment: chosen-plaintext attacks
 
-def _attack_class1(st, M, k, K):
+# (M, K, k) of each target, in output row order; the phase-encoding target
+# samples onto a square m x m grid, so its K is a square
+_ATTACK_SIZES = {"class1": (256, 64, 8), "class2": (256, 64, 8),
+                 "drpe": (32, 16, 3), "blp-cs": (256, 64, 8)}
+_ATTACK_DMAX = 60
+
+
+def _attack_target(name, st, key_seed):
+    """The encryption oracle of one target, the map from sparse coefficients
+    to a plaintext, and the attacker's public basis (None for the identity).
+
+    The baselines draw their secrets from ``st``; the bi-level key is
+    derived from ``key_seed``.
+    """
+    M, K, _ = _ATTACK_SIZES[name]
+    if name == "blp-cs":
+        key = keygen(key_seed, M, K / M, 0.99, dmax=_ATTACK_DMAX, mix_count=8)
+        _, inverse = key.basis()
+        public_basis = rpfrct_matrix(M, 1.0)  # order-1 family guess, no key
+        return EncryptionOracle(lambda x: blp_encode(key, x), M), inverse, public_basis
     Phi = gaussian_matrix(st, K, M)
-    P_K = st.permutation(K)
+    if name == "drpe":
+        masks = drpe_masks(st, math.isqrt(K))
+        return EncryptionOracle(lambda x: drpe_cs_encode(Phi, masks, x), M), lambda s: s, None
     C = dct_matrix(M)
-    oracle = EncryptionOracle(lambda x: scramble_measurements_encode(Phi, P_K, x), M)
+    if name == "class1":
+        P_K = st.permutation(K)
+        oracle = EncryptionOracle(lambda x: scramble_measurements_encode(Phi, P_K, x), M)
+    else:
+        P_M = st.permutation(M)
+        oracle = EncryptionOracle(
+            lambda x: scramble_frequency_encode(Phi, P_M, lambda v: C.T @ v, x), M)
+    return oracle, lambda s: C @ s, C
+
+
+def _attack_row(seed, name, t):
+    """Recover the target's matrix, encrypt a sparse plaintext, break it."""
+    M, K, k = _ATTACK_SIZES[name]
+    st = derive_stream(seed, f"attack/{name}/{t}")
+    oracle, synthesize, public_basis = _attack_target(name, st, seed + 7000 + t)
     report = cpa_recover_matrix(oracle, stream=st)
     s_true = np.zeros(M)
     s_true[st.subset(M, k)] = st.gaussian(k)
-    x_true = C @ s_true
-    est = cpa_break_and_decode(report.recovered_matrix, oracle(x_true), public_basis=C)
-    return report.queries_used, _rel_error(est, x_true)
-
-def _attack_class2(st, M, k, K):
-    Phi = gaussian_matrix(st, K, M)
-    P_M = st.permutation(M)
-    C = dct_matrix(M)
-    oracle = EncryptionOracle(
-        lambda x: scramble_frequency_encode(Phi, P_M, lambda v: C.T @ v, x), M)
-    report = cpa_recover_matrix(oracle, stream=st)
-    s_true = np.zeros(M)
-    s_true[st.subset(M, k)] = st.gaussian(k)
-    x_true = C @ s_true
-    est = cpa_break_and_decode(report.recovered_matrix, oracle(x_true), public_basis=C)
-    return report.queries_used, _rel_error(est, x_true)
-
-def _attack_drpe(st, m=4, M=32, k=3):
-    K = m * m
-    Phi = gaussian_matrix(st, K, M)
-    masks = drpe_masks(st, m)
-    oracle = EncryptionOracle(lambda x: drpe_cs_encode(Phi, masks, x), M)
-    report = cpa_recover_matrix(oracle, stream=st)
-    x_true = np.zeros(M)
-    x_true[st.subset(M, k)] = st.gaussian(k)
-    est = cpa_break_and_decode(report.recovered_matrix, oracle(x_true))
-    return report.queries_used, _rel_error(est, x_true)
-
-def _attack_blp(st, seed_t, M, k, K, dmax):
-    key = keygen(seed_t, M, K / M, 0.99, dmax=dmax, mix_count=8)
-    oracle = EncryptionOracle(lambda x: blp_encode(key, x), M)
-    report = cpa_recover_matrix(oracle, stream=st)
-    _, inverse = key.basis()
-    s_true = np.zeros(M)
-    s_true[st.subset(M, k)] = st.gaussian(k)
-    x_true = inverse(s_true)
-    public_basis = rpfrct_matrix(M, 1.0)  # order-1 family guess, no key
+    x_true = synthesize(s_true)
     est = cpa_break_and_decode(report.recovered_matrix, oracle(x_true),
                                public_basis=public_basis)
-    return report.queries_used, _rel_error(est, x_true)
+    rel = _rel_error(est, x_true)
+    return (name, t, M, K, k, report.queries_used, str(rel < 1e-3).lower(), f"{rel:.6e}")
 
 
-def run_attack(seed, seeds=20, M=256, k=8, K=64, dmax=60, drpe_m=4, drpe_M=32, drpe_k=3):
+def run_attack(seed, seeds=20):
     """Chosen-plaintext recovery and single-step decode against each target.
 
-    Seeds run independently (parallelized across BLPCS_THREADS workers);
-    output order is fixed by the configuration, not completion order.
+    Seeds run independently across BLPCS_THREADS workers; output order is
+    fixed by the configuration, not completion order.
     """
-    specs = [
-        ("class1", M, K, k, lambda st, t: _attack_class1(st, M, k, K)),
-        ("class2", M, K, k, lambda st, t: _attack_class2(st, M, k, K)),
-        ("drpe", drpe_M, drpe_m * drpe_m, drpe_k,
-         lambda st, t: _attack_drpe(st, drpe_m, drpe_M, drpe_k)),
-        ("blp-cs", M, K, k, lambda st, t: _attack_blp(st, seed + 7000 + t, M, k, K, dmax)),
-    ]
+    # imported here: every other subcommand would pay for it at start-up
+    from concurrent.futures import ThreadPoolExecutor
 
-    def one(job):
-        name, tM, tK, tk, fn, t = job
-        st = derive_stream(seed, f"attack/{name}/{t}")
-        queries, rel = fn(st, t)
-        return (name, t, tM, tK, tk, queries, str(rel < 1e-3).lower(), f"{rel:.6e}")
-
-    jobs = [(name, tM, tK, tk, fn, t)
-            for name, tM, tK, tk, fn in specs for t in range(seeds)]
-    workers = min(max_workers(), len(jobs))
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, jobs))
-    else:
-        rows = [one(job) for job in jobs]
+    jobs = [(name, t) for name in _ATTACK_SIZES for t in range(seeds)]
+    with ThreadPoolExecutor(max_workers=max(1, min(max_workers(), len(jobs)))) as pool:
+        rows = list(pool.map(lambda job: _attack_row(seed, *job), jobs))
     return ["target", "seed", "M", "K", "k", "queries", "break_success", "rel_error"], rows
 
 
@@ -274,7 +273,6 @@ def _cmd_attack(args):
     header, rows = run_attack(args.seed, seeds=args.seeds)
     _write_csv(args.out, header, rows)
     if args.scatter:
-        from .attacks import EncryptionOracle, proximity_scatter
         key = keygen(args.seed, 256, 0.25, 0.99, dmax=60, mix_count=8)
         oracle = EncryptionOracle(lambda x: blp_encode(key, x), 256)
         pts = proximity_scatter(oracle, derive_stream(args.seed, "attack/scatter"))

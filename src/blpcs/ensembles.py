@@ -2,26 +2,17 @@
 
 Covers the classical restricted-isometry ensembles (Gaussian, Bernoulli),
 the antipodal column-scaled ensemble whose coherence grows with the scaling
-spread, an empirical Monte-Carlo estimate of the isometry constant, and the
-BLPM matrix file format.
+spread, and an empirical Monte-Carlo estimate of the isometry constant.
 """
 
-import struct
-
 import numpy as np
-
-from .errors import FormatError
 
 __all__ = [
     "gaussian_matrix",
     "bernoulli_matrix",
     "antipodal_scaled_matrix",
     "rip_check_montecarlo",
-    "save_matrix",
-    "load_matrix",
 ]
-
-_MAGIC = b"BLPM"
 
 
 def gaussian_matrix(stream, K, M, normalize_columns=False):
@@ -70,29 +61,3 @@ def rip_check_montecarlo(A, k, trials, stream):
         Ax = A[:, T] @ x
         worst = max(worst, abs(float(Ax @ Ax) / nx - 1.0))
     return worst
-
-
-def save_matrix(path, A):
-    """Write a dense matrix in the BLPM binary format (little-endian f64)."""
-    A = np.ascontiguousarray(np.asarray(A, dtype=float))
-    if A.ndim != 2:
-        raise ValueError("only 2-D matrices are supported")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", A.shape[0], A.shape[1]))
-        fh.write(A.astype("<f8").tobytes(order="C"))
-
-def load_matrix(path):
-    """Read a BLPM matrix file written by :func:`save_matrix`."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise FormatError(f"{path}: not a BLPM matrix file")
-        header = fh.read(8)
-        if len(header) != 8:
-            raise FormatError(f"{path}: truncated BLPM header")
-        rows, cols = struct.unpack("<II", header)
-        payload = fh.read(8 * rows * cols)
-        if len(payload) != 8 * rows * cols:
-            raise FormatError(f"{path}: truncated BLPM payload")
-    return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()

@@ -20,7 +20,7 @@ import numpy as np
 from .cipher import MeasurementPacket
 from .errors import FormatError, GuardError
 from .keyrand import derive_stream
-from .solvers import SolverConfig, ista_bpdn_batch
+from .solvers import ista_bpdn_batch
 
 __all__ = [
     "ChannelModel",
@@ -70,6 +70,8 @@ def load_pgm(path):
         width, height, maxval = (int(t) for t in tokens)
     except ValueError as exc:
         raise FormatError(f"{path}: non-numeric PGM header field") from exc
+    if width <= 0 or height <= 0:
+        raise FormatError(f"{path}: image sides must be positive, got {width}x{height}")
     if maxval != 255:
         raise FormatError(f"{path}: only maxval 255 is supported, got {maxval}")
     if width != height or width % 2 != 0:
@@ -222,7 +224,7 @@ def _packets_to_matrix(packets, K):
     return Y, (None if complete else mask)
 
 
-def columnwise_decode(key, packets, config=None, scramble=True):
+def columnwise_decode(key, packets, scramble=True):
     """Parallel per-column sparse recovery, then the inverse secret basis.
 
     Columns are independent given the shared sensing matrix; packets with
@@ -231,13 +233,12 @@ def columnwise_decode(key, packets, config=None, scramble=True):
     """
     if len(packets) != key.M:
         raise ValueError(f"expected {key.M} packets, got {len(packets)}")
-    config = config or SolverConfig()
     Y, mask = _packets_to_matrix(packets, key.K)
     A = key.sensing_matrix()
     if key.K == key.M and mask is None:
         Shat = np.linalg.solve(A, Y)  # full-rate sampling is plainly invertible
     else:
-        Shat = ista_bpdn_batch(A, Y, config=config, mask=mask)
+        Shat = ista_bpdn_batch(A, Y, mask=mask)
     _, inverse = key.basis(two_d=True, scramble=scramble)
     n = key.M
     image = inverse(Shat.flatten(order="F")).reshape((n, n), order="F")

@@ -3,7 +3,8 @@
 Three routes with different regimes and guarantees:
 
 * :func:`omp_recover` -- greedy orthogonal matching pursuit, the workhorse
-  for exactly sparse synthetic signals;
+  for exactly sparse synthetic signals (:func:`subspace_pursuit` refines a
+  fixed-size support where a greedy pick goes wrong);
 * :func:`ista_bpdn` -- l1-regularized least squares by iterative soft
   thresholding with lambda continuation, used for compressible signals such
   as image columns (a batched variant solves many columns against one
@@ -11,8 +12,9 @@ Three routes with different regimes and guarantees:
 * :func:`l0_bruteforce` -- exhaustive support search, the desk-scale oracle
   the other solvers are verified against.
 
-:func:`two_step_decode` chains a sensing-matrix solve with a basis apply,
-which is the decoding pattern of the bi-level cipher.
+:func:`two_step_decode` chains a sensing-matrix solve (OMP and SP, keeping
+the feasible fit of least l1 norm) with a basis apply, which is the decoding
+pattern of the bi-level cipher.
 """
 
 from dataclasses import dataclass
@@ -35,10 +37,20 @@ __all__ = [
 ]
 
 
+# relative residual at which the pursuits stop, and the default relative
+# objective change at which an ISTA stage stops
+_RESIDUAL_TOL = 1e-10
+# support refinement rounds of subspace pursuit
+_REFINE_ITERS = 30
+
+
 @dataclass
 class SolverConfig:
+    """Settings of the iterative soft-thresholding solvers (:func:`ista_bpdn`,
+    :func:`ista_bpdn_batch`)."""
+
     max_iters: int = 400
-    residual_tol: float = 1e-10
+    residual_tol: float = _RESIDUAL_TOL
     lam: float = 1e-3          # relative lambda floor, scaled by ||A^T y||_inf
     continuation: bool = True  # sweep lambda from 0.1 down to the floor
     debias: bool = True        # least-squares refit on the final support
@@ -77,14 +89,13 @@ def _spectral_norm_sq(A, iters=30):
 # ---------------------------------------------------------------------------
 # orthogonal matching pursuit
 
-def omp_recover(A, y, sparsity_budget, config=None):
+def omp_recover(A, y, sparsity_budget):
     """Greedy pursuit: pick the column most correlated with the residual,
     least-squares refit on the active set, repeat.
 
-    Stops when the relative residual drops below ``config.residual_tol`` or
-    the budget is exhausted.  Works for real and complex systems.
+    Stops when the relative residual drops below 1e-10 or the budget is
+    exhausted.  Works for real and complex systems.
     """
-    config = config or SolverConfig()
     A = np.asarray(A)
     y = np.asarray(y).ravel()
     K, M = A.shape
@@ -109,15 +120,15 @@ def omp_recover(A, y, sparsity_budget, config=None):
         if rank < len(support) and not notes:
             notes = f"rank-deficient active set at iteration {it}"
         r = y - A[:, support] @ sol
-        if np.linalg.norm(r) < config.residual_tol * ynorm:
+        if np.linalg.norm(r) < _RESIDUAL_TOL * ynorm:
             break
     x[support] = sol
     resid = float(np.linalg.norm(y - A @ x))
     return RecoveryReport(estimate=x, residual_l2=resid, iterations=it,
-                          converged=resid < config.residual_tol * ynorm, notes=notes)
+                          converged=resid < _RESIDUAL_TOL * ynorm, notes=notes)
 
 
-def subspace_pursuit(A, y, k, config=None, refine_iters=30):
+def subspace_pursuit(A, y, k):
     """Best k-sparse fit by iterative support refinement.
 
     Starts from the k columns most correlated with y, then repeatedly merges
@@ -125,7 +136,6 @@ def subspace_pursuit(A, y, k, config=None, refine_iters=30):
     fits, and prunes back to k.  Unlike greedy pursuit it can evict an early
     wrong pick, which matters when small coefficients hide behind large ones.
     """
-    config = config or SolverConfig()
     A = np.asarray(A)
     y = np.asarray(y).ravel()
     K, M = A.shape
@@ -140,7 +150,7 @@ def subspace_pursuit(A, y, k, config=None, refine_iters=30):
     r = y - A[:, sup] @ sol
     best = (float(np.linalg.norm(r)), sup, sol)
     it = 0
-    for it in range(1, refine_iters + 1):
+    for it in range(1, _REFINE_ITERS + 1):
         cand = np.union1d(sup, np.argsort(-np.abs(A.conj().T @ r), kind="stable")[:k])
         sol_c, *_ = np.linalg.lstsq(A[:, cand], y, rcond=None)
         sup = cand[np.argsort(-np.abs(sol_c), kind="stable")[:k]]
@@ -152,11 +162,11 @@ def subspace_pursuit(A, y, k, config=None, refine_iters=30):
             best = (rn, sup, sol)
         else:
             break
-        if rn < config.residual_tol * ynorm:
+        if rn < _RESIDUAL_TOL * ynorm:
             break
     x[best[1]] = best[2]
     return RecoveryReport(estimate=x, residual_l2=best[0], iterations=it,
-                          converged=best[0] < config.residual_tol * ynorm)
+                          converged=best[0] < _RESIDUAL_TOL * ynorm)
 
 
 # ---------------------------------------------------------------------------
@@ -332,17 +342,16 @@ def l0_bruteforce(A, y, k):
 # ---------------------------------------------------------------------------
 # the two-step decode of the bi-level cipher
 
-def two_step_decode(A, basis_apply, y, config=None, solver="bp", budget=None):
+def two_step_decode(A, basis_apply, y):
     """Solve min ||s||_1 s.t. y = A s, then map the coefficients back with
     ``basis_apply`` (the synthesis side of the secret basis).
 
-    Solvers: ``bp`` (default) runs greedy pursuit and subspace pursuit and
-    keeps the equality-feasible candidate of least l1 norm; ``omp`` and
-    ``ista`` run a single route.  Complex systems are supported everywhere
-    except ``ista``.  Returns (signal estimate, step-1 recovery report).
-    A square A is solved directly.
+    A square A is solved directly.  Otherwise greedy pursuit and subspace
+    pursuit both run, and the equality-feasible candidate of least l1 norm
+    is kept (the smallest residual when neither is feasible).  Real and
+    complex systems are supported.  Returns (signal estimate, step-1
+    recovery report).
     """
-    config = config or SolverConfig()
     A = np.asarray(A)
     y = np.asarray(y).ravel()
     K, M = A.shape
@@ -351,19 +360,12 @@ def two_step_decode(A, basis_apply, y, config=None, solver="bp", budget=None):
         resid = float(np.linalg.norm(y - A @ s))
         report = RecoveryReport(estimate=s, residual_l2=resid, iterations=0,
                                 converged=True, notes="square system, direct solve")
-    elif solver == "omp":
-        report = omp_recover(A, y, budget if budget is not None else K, config)
-    elif solver == "ista":
-        report = ista_bpdn(A, y, config)
-    elif solver == "bp":
-        cands = [omp_recover(A, y, budget if budget is not None else K, config),
-                 subspace_pursuit(A, y, max(1, K // 4), config)]
+    else:
+        cands = [omp_recover(A, y, K), subspace_pursuit(A, y, max(1, K // 4))]
         ynorm = max(float(np.linalg.norm(y)), 1e-300)
         feasible = [c for c in cands if c.residual_l2 < 1e-6 * ynorm]
         if feasible:
             report = min(feasible, key=lambda c: float(np.abs(c.estimate).sum()))
         else:
             report = min(cands, key=lambda c: c.residual_l2)
-    else:
-        raise ValueError(f"unknown solver {solver!r}")
     return basis_apply(report.estimate), report

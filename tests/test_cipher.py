@@ -82,6 +82,9 @@ def test_key_file_rejects_malformed(tmp_path):
     p.write_text("seed=1 M=64\n")
     with pytest.raises(FormatError):
         read_key_file(p)
+    p.write_bytes(b"seed=1\xff\n")  # not UTF-8
+    with pytest.raises(FormatError):
+        read_key_file(p)
 
 
 def test_encode_linearity_and_zero():
@@ -259,7 +262,7 @@ def test_measurement_file_rejects_garbage(tmp_path):
 
 @pytest.mark.parametrize("defect, match", [
     ("nan", "non-finite"), ("inf", "non-finite"),
-    ("repeated", "repeated"), ("trailing", "trailing"),
+    ("repeated", "repeated"), ("trailing", "trailing"), ("oversized", "more than K"),
 ])
 def test_measurement_file_rejects_malformed_packets(tmp_path, defect, match):
     indices, values = np.array([0, 2, 3]), np.array([1.5, -2.0, 0.25])
@@ -272,5 +275,7 @@ def test_measurement_file_rejects_malformed_packets(tmp_path, defect, match):
     if defect == "trailing":
         load_measurements(path)
         path.write_bytes(path.read_bytes() + b"\x00")
+    elif defect == "oversized":  # a packet header claiming 2^32 - 1 entries
+        path.write_bytes(path.read_bytes()[:12] + b"\xff\xff\xff\xff")
     with pytest.raises(FormatError, match=match):
         load_measurements(path)

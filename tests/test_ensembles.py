@@ -1,13 +1,11 @@
-"""Ensemble construction, the isometry estimate, and the matrix file format."""
+"""Ensemble construction and the isometry estimate."""
 
 import math
 
 import numpy as np
-import pytest
 
 from blpcs.ensembles import (antipodal_scaled_matrix, bernoulli_matrix, gaussian_matrix,
-                             load_matrix, rip_check_montecarlo, save_matrix)
-from blpcs.errors import FormatError
+                             rip_check_montecarlo)
 from blpcs.keyrand import derive_stream
 from blpcs.solvers import omp_recover
 
@@ -104,21 +102,3 @@ def test_rip_check_normalized_gaussian_mostly_below_090():
         A = gaussian_matrix(derive_stream(300 + t, "g"), K, M, normalize_columns=True)
         good += rip_check_montecarlo(A, k, 500, derive_stream(300 + t, "mc")) < 0.9
     assert good >= 19
-
-
-def test_matrix_file_roundtrip(tmp_path):
-    A = derive_stream(12, "m").gaussian((7, 5))
-    path = tmp_path / "a.blpm"
-    save_matrix(path, A)
-    B = load_matrix(path)
-    assert np.array_equal(A, B)
-
-
-def test_matrix_file_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.blpm"
-    path.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(FormatError):
-        load_matrix(path)
-    path.write_bytes(b"BLPM\x02\x00\x00\x00")
-    with pytest.raises(FormatError):
-        load_matrix(path)

@@ -22,9 +22,14 @@ CASES = {
     "table2": ["exp", "table2", "--n", "32", "--trials", "2"],
 }
 
+# the attack sweep runs on a worker pool: check it with one worker and with two
+THREADS = {"attack": ("1", "2")}
+
 
 @pytest.mark.parametrize("name", list(CASES))
-def test_experiment_csv_matches_golden(tmp_path, name):
-    out = tmp_path / f"{name}.csv"
-    assert cli.main(CASES[name] + ["--out", str(out)]) == 0
-    assert out.read_bytes() == (DATA / f"{name}.csv").read_bytes()
+def test_experiment_csv_matches_golden(tmp_path, monkeypatch, name):
+    for threads in THREADS.get(name, ("0",)):
+        monkeypatch.setenv("BLPCS_THREADS", threads)
+        out = tmp_path / f"{name}-{threads}.csv"
+        assert cli.main(CASES[name] + ["--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / f"{name}.csv").read_bytes()

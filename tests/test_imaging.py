@@ -47,6 +47,10 @@ def test_pgm_rejections(tmp_path):
     path.write_bytes(b"P5\n2 2\n255\n" + bytes(3))  # truncated raster
     with pytest.raises(FormatError):
         load_pgm(path)
+    for side in (b"-4", b"0"):  # non-positive sides
+        path.write_bytes(b"P5\n" + side + b" " + side + b"\n255\n" + bytes(16))
+        with pytest.raises(FormatError):
+            load_pgm(path)
 
 
 def test_pgm_refuses_non_finite_image(tmp_path):

@@ -268,11 +268,9 @@ def test_two_step_decode_bp_route_sparse():
     x_true = np.zeros(80)
     x_true[s.subset(80, 4)] = s.gaussian(4)
     y = A @ x_true
-    x, rep = two_step_decode(A, lambda c: c, y, solver="bp")
+    x, rep = two_step_decode(A, lambda c: c, y)
     assert np.linalg.norm(x - x_true) < 1e-6 * np.linalg.norm(x_true)
     assert rep.residual_l2 < 1e-8
-    with pytest.raises(ValueError):
-        two_step_decode(A, lambda c: c, y, solver="nope")
 
 
 def test_solver_config_validation():
