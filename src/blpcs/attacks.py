@@ -6,8 +6,10 @@ per column).  For the scrambling and phase-encoding baselines the recovered
 matrix is as good as the key: a standard sparse decode then reads every
 later ciphertext.  Against the bi-level cipher the same recovered matrix is
 useless, because the required sample count for direct l1 decoding scales
-with the coherence of the composed matrix; the demonstrations here exercise
-both sides of that claim.
+with the coherence of the composed matrix.  The attack sweep of the command
+line exercises both sides of that claim.  The factorisation-ambiguity and
+single-query Bernoulli demonstrations live with the tests that check those
+claims (``tests/oracles.py``).
 """
 
 from dataclasses import dataclass
@@ -15,8 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import GuardError, LinearityError
-from .keyrand import derive_stream
+from .errors import LinearityError
 from .solvers import omp_recover, two_step_decode
 
 __all__ = [
@@ -25,9 +26,7 @@ __all__ = [
     "cpa_recover_matrix",
     "cpa_break_and_decode",
     "wrong_key_recovery_demo",
-    "decomposition_ambiguity_check",
     "proximity_scatter",
-    "bernoulli_single_query_attack",
 ]
 
 
@@ -51,12 +50,17 @@ class AttackReport:
     estimate: Optional[np.ndarray] = None
 
 
-def cpa_recover_matrix(oracle, spot_checks=2, stream=None):
+# random queries that check the oracle's linearity after the M basis queries
+_SPOT_CHECKS = 2
+
+
+def cpa_recover_matrix(oracle, stream):
     """Recover the equivalent matrix of a linear oracle column by column.
 
     Queries the canonical basis vectors e_1 .. e_M (M queries); each reply
-    is one matrix column.  ``spot_checks`` extra random queries verify the
-    oracle really is linear; a mismatch raises :class:`LinearityError`.
+    is one matrix column.  Two extra random queries, drawn from ``stream``,
+    verify the oracle really is linear; a mismatch raises
+    :class:`LinearityError`.
     """
     M = oracle.M
     e = np.zeros(M)
@@ -66,18 +70,14 @@ def cpa_recover_matrix(oracle, spot_checks=2, stream=None):
         e[j] = 1.0
         cols.append(oracle(e))
     R = np.stack(cols, axis=1)
-    queries = M
-    if spot_checks > 0:
-        check_stream = stream if stream is not None else derive_stream(0, "cpa/spotcheck")
-        for _ in range(spot_checks):
-            x = check_stream.gaussian(M)
-            ref = oracle(x)
-            queries += 1
-            err = np.linalg.norm(ref - R @ x)
-            if err > 1e-9 * max(np.linalg.norm(ref), 1e-30):
-                raise LinearityError(
-                    f"oracle is not linear: superposition mismatch {err:.3e}")
-    return AttackReport(recovered_matrix=R, queries_used=queries)
+    for _ in range(_SPOT_CHECKS):
+        x = stream.gaussian(M)
+        ref = oracle(x)
+        err = np.linalg.norm(ref - R @ x)
+        if err > 1e-9 * max(np.linalg.norm(ref), 1e-30):
+            raise LinearityError(
+                f"oracle is not linear: superposition mismatch {err:.3e}")
+    return AttackReport(recovered_matrix=R, queries_used=M + _SPOT_CHECKS)
 
 
 def cpa_break_and_decode(recovered, c, public_basis=None):
@@ -121,31 +121,11 @@ def wrong_key_recovery_demo(A, A_wrong, y, x_true=None):
                         estimate=x_prime)
 
 
-def decomposition_ambiguity_check(E, F, trials, stream, tol=1e-10):
-    """Verify that factor pairs (E P, P^T F) reproduce E F for random P.
-
-    Also checks that column-permuting E leaves each row's entry multiset
-    unchanged, so a factor with prescribed entry statistics stays a valid
-    candidate; this is why the factorization search space grows with the
-    permutation count.  Returns True when every sampled permutation passes.
-    """
-    E = np.asarray(E, dtype=float)
-    F = np.asarray(F, dtype=float)
-    if E.shape[1] != F.shape[0]:
-        raise ValueError("E and F do not compose")
-    EF = E @ F
-    rows_sorted = np.sort(E, axis=1)
-    for _ in range(trials):
-        P = stream.permutation(E.shape[1]).to_matrix()
-        EP = E @ P
-        if np.max(np.abs(EF - EP @ (P.T @ F))) > tol:
-            return False
-        if not np.array_equal(np.sort(EP, axis=1), rows_sorted):
-            return False
-    return True
+# random plaintext pairs of the proximity scatter
+_SCATTER_PAIRS = 200
 
 
-def proximity_scatter(oracle, stream, pairs=200, scale=1.0):
+def proximity_scatter(oracle, stream):
     """Plaintext versus ciphertext Euclidean distances under matrix reuse.
 
     With a fixed linear encoder, nearby plaintexts produce nearby
@@ -157,32 +137,11 @@ def proximity_scatter(oracle, stream, pairs=200, scale=1.0):
     """
     rows = []
     M = oracle.M
-    for _ in range(pairs):
-        x1 = stream.gaussian(M) * scale
-        x2 = x1 + stream.gaussian(M) * scale * stream.uniform()
+    for _ in range(_SCATTER_PAIRS):
+        x1 = stream.gaussian(M)
+        x2 = x1 + stream.gaussian(M) * stream.uniform()
         d_plain = float(np.linalg.norm(x1 - x2))
         d_cipher = float(np.linalg.norm(oracle(x1) - oracle(x2)))
         rows.append((d_plain, d_cipher))
     return np.array(rows)
 
-
-_BERNOULLI_GUARD = 50
-
-
-def bernoulli_single_query_attack(oracle_int, M):
-    """Recover a +-1 matrix from one plaintext of powers of two.
-
-    The reply's i-th entry is sum_j B_ij 2^j; adding 2^M - 1 and halving
-    exposes the +1 positions as binary digits.  Exact integer arithmetic
-    only, hence the M <= 50 guard (doubles cannot carry 2^M beyond that).
-    """
-    if M > _BERNOULLI_GUARD:
-        raise GuardError(f"single-query attack limited to M <= {_BERNOULLI_GUARD}")
-    x = [2**j for j in range(M)]
-    y = oracle_int(x)
-    full = 2**M - 1
-    rows = []
-    for yi in y:
-        ones = (int(yi) + full) // 2
-        rows.append([1.0 if (ones >> j) & 1 else -1.0 for j in range(M)])
-    return np.array(rows)

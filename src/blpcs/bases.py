@@ -60,9 +60,6 @@ class EigenSystem:
     U: np.ndarray
     phis: np.ndarray
 
-    def reconstruct(self):
-        return self.U @ (np.exp(1j * self.phis)[:, None] * self.U.conj().T)
-
     def fractional(self, alpha):
         """The alpha-th power via the principal eigenvalue arguments."""
         return self.U @ (np.exp(1j * alpha * self.phis)[:, None] * self.U.conj().T)
@@ -109,7 +106,7 @@ def dct_eigensystem(n):
             phi[start:stop] = np.mean(phi[start:stop])
         start = stop
     sys = EigenSystem(U=U, phis=phi)
-    resid = np.max(np.abs(sys.reconstruct() - C))
+    resid = np.max(np.abs(sys.fractional(1.0) - C))
     unit = np.max(np.abs(U.conj().T @ U - np.eye(n)))
     if resid > _EIG_RESID_TOL or unit > _EIG_RESID_TOL:
         raise ArithmeticError(
@@ -259,11 +256,6 @@ class SecretBasisSpec:
     mixes: list = field(default_factory=list)
     region: np.ndarray | None = None
     two_d: bool = False
-
-    @property
-    def size(self):
-        """Length of the coefficient vector the composed basis acts on."""
-        return self.n * self.n if self.two_d else self.n
 
 
 def build_secret_basis(spec):

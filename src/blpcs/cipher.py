@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bases import SecretBasisSpec, build_secret_basis, corner_region_1d, corner_region_2d
-from .errors import FormatError, GuardError
+from .errors import FormatError
 from .keyrand import derive_stream
 from .solvers import two_step_decode
 
@@ -33,7 +33,6 @@ __all__ = [
     "scramble_measurements_encode",
     "scramble_frequency_encode",
     "drpe_masks",
-    "drpe_transfer_matrix",
     "drpe_cs_encode",
     "write_key_file",
     "read_key_file",
@@ -192,8 +191,6 @@ def scramble_frequency_encode(Phi, P_M, basis_to_coeffs, x):
 # ---------------------------------------------------------------------------
 # double random phase encoding
 
-_DRPE_GUARD = 32
-
 
 @dataclass
 class DrpeMasks:
@@ -222,21 +219,6 @@ def drpe_masks(stream, m):
 def _dft_matrix(m):
     j = np.arange(m)
     return np.exp(-2j * np.pi * np.outer(j, j) / m) / np.sqrt(m)
-
-
-def drpe_transfer_matrix(masks, m):
-    """Dense transfer matrix T = Fbar* Qbar Fbar Pbar of the phase-encoding step.
-
-    Fbar is the Kronecker product of the 2-D Fourier factors; T is unitary.
-    Guarded to m <= 32 since T is m^2 x m^2 dense complex.
-    """
-    if m != masks.m:
-        raise ValueError("mask size does not match m")
-    if m > _DRPE_GUARD:
-        raise GuardError(f"dense transfer matrix limited to m <= {_DRPE_GUARD}")
-    F = _dft_matrix(m)
-    Fbar = np.kron(F.conj(), F)
-    return (Fbar.conj().T @ (masks.q_diag[:, None] * Fbar)) * masks.p_diag[None, :]
 
 
 def drpe_cs_encode(Phi, masks, x):

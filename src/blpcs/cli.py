@@ -138,6 +138,8 @@ def run_table(seed, which, trials=10, n=512, alpha=0.99, beta=0.95, dmax=16,
               timings=False):
     """APSNR of the scrambled pipeline (and its unscrambled baseline or the
     noisy/lossy channels) on the stand-in image."""
+    if trials < 1:
+        raise ValueError(f"a table needs at least one trial, got {trials}")
     img = make_test_image(n)
     if which == "table1":
         variants = [("blp-cs", "ideal", 0.0), ("bcs-in", "ideal", 0.0)]
@@ -180,6 +182,12 @@ _ATTACK_SIZES = {"class1": (256, 64, 8), "class2": (256, 64, 8),
 _ATTACK_DMAX = 60
 
 
+def _attack_key(seed):
+    """The bi-level key under attack, sized by ``_ATTACK_SIZES["blp-cs"]``."""
+    M, K, _ = _ATTACK_SIZES["blp-cs"]
+    return keygen(seed, M, K / M, 0.99, dmax=_ATTACK_DMAX, mix_count=8)
+
+
 def _attack_target(name, st, key_seed):
     """The encryption oracle of one target, the map from sparse coefficients
     to a plaintext, and the attacker's public basis (None for the identity).
@@ -189,7 +197,7 @@ def _attack_target(name, st, key_seed):
     """
     M, K, _ = _ATTACK_SIZES[name]
     if name == "blp-cs":
-        key = keygen(key_seed, M, K / M, 0.99, dmax=_ATTACK_DMAX, mix_count=8)
+        key = _attack_key(key_seed)
         _, inverse = key.basis()
         public_basis = rpfrct_matrix(M, 1.0)  # order-1 family guess, no key
         return EncryptionOracle(lambda x: blp_encode(key, x), M), inverse, public_basis
@@ -273,8 +281,8 @@ def _cmd_attack(args):
     header, rows = run_attack(args.seed, seeds=args.seeds)
     _write_csv(args.out, header, rows)
     if args.scatter:
-        key = keygen(args.seed, 256, 0.25, 0.99, dmax=60, mix_count=8)
-        oracle = EncryptionOracle(lambda x: blp_encode(key, x), 256)
+        key = _attack_key(args.seed)
+        oracle = EncryptionOracle(lambda x: blp_encode(key, x), key.M)
         pts = proximity_scatter(oracle, derive_stream(args.seed, "attack/scatter"))
         _write_csv(args.scatter, ["plain_dist", "cipher_dist"],
                    [(f"{a:.6e}", f"{b:.6e}") for a, b in pts])

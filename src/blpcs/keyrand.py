@@ -58,23 +58,6 @@ class Permutation:
         out[self.map] = x
         return out
 
-    def inverse(self):
-        inv = np.empty(self.n, dtype=np.int64)
-        inv[self.map] = np.arange(self.n, dtype=np.int64)
-        return Permutation(inv)
-
-    def compose(self, other):
-        """Return the permutation acting as self after other (P_self P_other)."""
-        return Permutation(other.map[self.map])
-
-    def to_matrix(self):
-        P = np.zeros((self.n, self.n))
-        P[np.arange(self.n), self.map] = 1.0
-        return P
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and np.array_equal(self.map, other.map)
-
     def __repr__(self):
         return f"Permutation({self.map.tolist()})"
 
@@ -137,12 +120,6 @@ class RandStream:
             j = i + int(u[i] * (n - i))
             pool[i], pool[j] = pool[j], pool[i]
         return pool[:k]
-
-    def clone(self):
-        """Snapshot copy; the clone replays the same future draws."""
-        bg = np.random.Philox()
-        bg.state = self._gen.bit_generator.state
-        return RandStream(bg, self.label)
 
 
 def derive_stream(seed, label):

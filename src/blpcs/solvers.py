@@ -68,14 +68,17 @@ class RecoveryReport:
     residual_l2: float
     iterations: int
     converged: bool
-    notes: str = ""
 
 
-def _spectral_norm_sq(A, iters=30):
+# power-iteration steps of the spectral norm estimate
+_POWER_ITERS = 30
+
+
+def _spectral_norm_sq(A):
     """Squared spectral norm by deterministic power iteration."""
     M = A.shape[1]
     v = np.ones(M) / np.sqrt(M)
-    for _ in range(iters):
+    for _ in range(_POWER_ITERS):
         w = A.conj().T @ (A @ v)
         nw = np.linalg.norm(w)
         if nw == 0:
@@ -108,7 +111,6 @@ def omp_recover(A, y, sparsity_budget):
     r = y.astype(x.dtype)
     support: list[int] = []
     sol = np.zeros(0, dtype=x.dtype)
-    notes = ""
     it = 0
     for it in range(1, sparsity_budget + 1):
         if len(support) == M:
@@ -116,16 +118,14 @@ def omp_recover(A, y, sparsity_budget):
         corr = np.abs(A.conj().T @ r)
         corr[support] = -1.0
         support.append(int(np.argmax(corr)))
-        sol, _, rank, _ = np.linalg.lstsq(A[:, support], y, rcond=None)
-        if rank < len(support) and not notes:
-            notes = f"rank-deficient active set at iteration {it}"
+        sol, *_ = np.linalg.lstsq(A[:, support], y, rcond=None)
         r = y - A[:, support] @ sol
         if np.linalg.norm(r) < _RESIDUAL_TOL * ynorm:
             break
     x[support] = sol
     resid = float(np.linalg.norm(y - A @ x))
     return RecoveryReport(estimate=x, residual_l2=resid, iterations=it,
-                          converged=resid < _RESIDUAL_TOL * ynorm, notes=notes)
+                          converged=resid < _RESIDUAL_TOL * ynorm)
 
 
 def subspace_pursuit(A, y, k):
@@ -358,8 +358,7 @@ def two_step_decode(A, basis_apply, y):
     if K == M:
         s = np.linalg.solve(A, y)
         resid = float(np.linalg.norm(y - A @ s))
-        report = RecoveryReport(estimate=s, residual_l2=resid, iterations=0,
-                                converged=True, notes="square system, direct solve")
+        report = RecoveryReport(estimate=s, residual_l2=resid, iterations=0, converged=True)
     else:
         cands = [omp_recover(A, y, K), subspace_pursuit(A, y, max(1, K // 4))]
         ynorm = max(float(np.linalg.norm(y)), 1e-300)

@@ -3,22 +3,24 @@
 import numpy as np
 import pytest
 
-from blpcs.attacks import (AttackReport, EncryptionOracle, bernoulli_single_query_attack,
-                           cpa_break_and_decode, cpa_recover_matrix,
-                           decomposition_ambiguity_check, wrong_key_recovery_demo)
+from blpcs.attacks import (AttackReport, EncryptionOracle, cpa_break_and_decode,
+                           cpa_recover_matrix, wrong_key_recovery_demo)
 from blpcs.bases import dct_matrix
-from blpcs.cipher import drpe_cs_encode, drpe_masks, drpe_transfer_matrix, keygen, blp_encode
+from blpcs.cipher import drpe_cs_encode, drpe_masks, keygen, blp_encode
 from blpcs.errors import GuardError, LinearityError
 from blpcs.keyrand import derive_stream
 from blpcs.cli import run_attack
+
+from oracles import (bernoulli_single_query_attack, decomposition_ambiguity_check,
+                     drpe_transfer_matrix)
 
 
 def test_cpa_recovers_plain_matrix_exactly():
     st = derive_stream(1, "p")
     Phi = st.gaussian((12, 30))
     oracle = EncryptionOracle(lambda x: Phi @ x, 30)
-    rep = cpa_recover_matrix(oracle, spot_checks=0)
-    assert rep.queries_used == 30
+    rep = cpa_recover_matrix(oracle, st)
+    assert rep.queries_used == 30 + 2  # M basis queries and two linearity checks
     assert np.max(np.abs(rep.recovered_matrix - Phi)) < 1e-12
 
 
@@ -28,7 +30,7 @@ def test_cpa_recovers_scrambled_product():
     P = st.permutation(10)
     oracle = EncryptionOracle(lambda x: P.apply(Phi @ x), 24)
     rep = cpa_recover_matrix(oracle, stream=st)
-    assert np.max(np.abs(rep.recovered_matrix - P.to_matrix() @ Phi)) < 1e-12
+    assert np.max(np.abs(rep.recovered_matrix - np.eye(10)[P.map] @ Phi)) < 1e-12
 
 
 def test_cpa_recovers_drpe_transfer_product():

@@ -37,7 +37,7 @@ def test_dct_entries_match_scalar_formula():
 def test_eigensystem_invariants(n):
     sys = dct_eigensystem(n)
     assert np.max(np.abs(sys.U.conj().T @ sys.U - np.eye(n))) < 1e-10
-    assert np.max(np.abs(sys.reconstruct() - dct_matrix(n))) < 1e-10
+    assert np.max(np.abs(sys.fractional(1.0) - dct_matrix(n))) < 1e-10
     assert np.all(sys.phis > -np.pi - 1e-12) and np.all(sys.phis <= np.pi + 1e-9)
 
 

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from blpcs.cipher import (BlpKey, DrpeMasks, MeasurementPacket, blp_decode, blp_encode,
-                          drpe_cs_encode, drpe_masks, drpe_transfer_matrix, keygen,
-                          load_measurements, read_key_file, save_measurements,
-                          scramble_frequency_encode, scramble_measurements_encode,
-                          write_key_file)
+                          drpe_cs_encode, drpe_masks, keygen, load_measurements,
+                          read_key_file, save_measurements, scramble_frequency_encode,
+                          scramble_measurements_encode, write_key_file)
 from blpcs.bases import dct_matrix
-from blpcs.ensembles import rip_check_montecarlo
 from blpcs.errors import FormatError, GuardError
-from blpcs.keyrand import derive_stream
+from blpcs.keyrand import Permutation, derive_stream
+
+from oracles import drpe_transfer_matrix, rip_check_montecarlo
 
 
 def test_keygen_validation():
@@ -163,12 +163,12 @@ def test_scramble_measurements_is_permuted_plain_encode():
     Phi = st.gaussian((8, 16))
     x = st.gaussian(16)
     p = st.permutation(8)
-    ident = p.compose(p.inverse())  # identity
+    ident = Permutation(np.argsort(p.map)[p.map])  # inverse after p: the identity
     assert np.allclose(scramble_measurements_encode(Phi, ident, x), Phi @ x)
     P = st.permutation(8)
     yh = scramble_measurements_encode(Phi, P, x)
     assert sorted(yh.tolist()) == pytest.approx(sorted((Phi @ x).tolist()))
-    assert np.allclose(yh, P.to_matrix() @ Phi @ x)
+    assert np.allclose(yh, np.eye(8)[P.map] @ Phi @ x)
 
 
 def test_scramble_frequency_matches_explicit_product():
@@ -178,7 +178,7 @@ def test_scramble_frequency_matches_explicit_product():
     P = st.permutation(16)
     x = st.gaussian(16)
     got = scramble_frequency_encode(Phi, P, lambda v: C.T @ v, x)
-    want = Phi @ P.to_matrix() @ C.T @ x
+    want = Phi @ np.eye(16)[P.map] @ C.T @ x
     assert np.allclose(got, want, atol=1e-10)
     x1, x2 = st.gaussian(16), st.gaussian(16)
     lhs = scramble_frequency_encode(Phi, P, lambda v: C.T @ v, x1 + x2)

@@ -172,7 +172,7 @@ def test_exp_attack_deterministic(tmp_path):
     assert a.read_text().splitlines()[0] == "target,seed,M,K,k,queries,break_success,rel_error"
 
 
-def test_exp_table_small_smoke(tmp_path):
+def test_exp_table_small_smoke(tmp_path, capsys):
     out = tmp_path / "t.csv"
     rc = cli.main(["exp", "table1", "--seed", "4", "--trials", "1", "--n", "64",
                    "--dmax", "4", "--out", str(out)])
@@ -181,6 +181,13 @@ def test_exp_table_small_smoke(tmp_path):
     assert lines[0] == "image,sr,model,channel,plr,apsnr_db,seconds"
     assert len(lines) == 1 + 8  # 4 rates x 2 models
     assert all(line.endswith(",0.000") for line in lines[1:])  # no --timings
+    # a table without trials has no APSNR to report: argument error, no file
+    capsys.readouterr()
+    for name, trials in (("table1", "0"), ("table2", "-2")):
+        empty = tmp_path / f"{name}.csv"
+        rc = cli.main(["exp", name, "--n", "32", "--trials", trials, "--out", str(empty)])
+        assert rc == 2 and not empty.exists()
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 def test_natural_image_half_rate_window_and_wrong_key(tmp_path, capsys):

@@ -6,8 +6,8 @@ import pytest
 from blpcs.cipher import keygen
 from blpcs.errors import FormatError, GuardError
 from blpcs.imaging import (ChannelModel, acceptable_permutation_stats, apply_channel,
-                           apsnr_db, column_sparsity, columnwise_decode,
-                           columnwise_encode, load_pgm, make_test_image, psnr, save_pgm)
+                           apsnr_db, columnwise_decode, columnwise_encode, load_pgm,
+                           make_test_image, psnr, save_pgm)
 from blpcs.keyrand import derive_stream
 
 
@@ -75,16 +75,6 @@ def test_make_test_image_deterministic():
     assert np.array_equal(a, b)
     assert a.min() >= 0 and a.max() <= 255
     assert np.array_equal(a, np.round(a))
-
-
-def test_column_sparsity():
-    assert column_sparsity(np.zeros((4, 4))).tolist() == [0, 0, 0, 0]
-    assert column_sparsity(np.eye(5)).tolist() == [1, 1, 1, 1, 1]
-    X = np.zeros((6, 3))
-    X[0, 0] = 2.0
-    X[[1, 3], 2] = 0.5
-    assert column_sparsity(X).tolist() == [1, 0, 2]
-    assert column_sparsity(X, tol=1.0).tolist() == [1, 0, 0]
 
 
 def test_scramble_stats_dense_signal_never_deviates():
@@ -156,7 +146,7 @@ def test_columnwise_encode_matches_explicit_block_matrix():
     spec = key.basis_spec(two_d=True)
     Ra, Rb = rpfrct_matrix(n, key.alpha), rpfrct_matrix(n, key.beta)
     W = np.kron(Rb.T, Ra.T)
-    P = spec.perm.to_matrix()
+    P = np.eye(n * n)[spec.perm.map]
     full = np.kron(np.eye(n), key.sensing_matrix()) @ np.diag(spec.scale) @ P.T @ W
     img = make_test_image(n)
     got = np.concatenate([p.values for p in columnwise_encode(key, img)])
