@@ -70,6 +70,8 @@ def run_fig1(seed, trials=100):
     scales turns the matrix into a Bernoulli one, so recovery after the
     rescale is exact while direct l1 on the raw matrix is not.
     """
+    if trials < 0:
+        raise ValueError(f"the trial count must be >= 0, got {trials}")
     M, k = _FIG1_M, _FIG1_SPARSITY
     rows = []
     for t in range(trials):
@@ -240,6 +242,8 @@ def run_attack(seed, seeds=20):
     # imported here: every other subcommand would pay for it at start-up
     from concurrent.futures import ThreadPoolExecutor
 
+    if seeds < 0:
+        raise ValueError(f"the seed count must be >= 0, got {seeds}")
     jobs = [(name, t) for name in _ATTACK_SIZES for t in range(seeds)]
     with ThreadPoolExecutor(max_workers=max(1, min(max_workers(), len(jobs)))) as pool:
         rows = list(pool.map(lambda job: _attack_row(seed, *job), jobs))

@@ -12,7 +12,11 @@ Draw conventions (fixed, so derived objects are reproducible):
 * uniforms come straight from the bit generator's double conversion;
 * gaussians use Box-Muller on consecutive uniform pairs, one gaussian per
   pair: ``z = sqrt(-2 ln(1-u1)) * cos(2 pi u2)``;
-* permutations use a Fisher-Yates shuffle driven by one uniform per step;
+* permutations are the map of a Fisher-Yates shuffle driven by one uniform
+  per step: for i = n-1 down to 1, swap slots i and ``j = floor(u_t (i+1))``
+  with t = n-1-i.  The map equals that sequential shuffle's bit for bit,
+  though it is computed with whole-array sorting and pointer jumping rather
+  than by running the swaps (see :meth:`RandStream.permutation`);
 * integer draws use ``low + floor(u * (high - low))``.
 """
 
@@ -95,18 +99,54 @@ class RandStream:
         return (low + np.floor(u * span)).astype(np.int64)
 
     def permutation(self, n):
-        """Uniform permutation of {0..n-1} by an unbiased Fisher-Yates shuffle."""
-        if n < 1:
-            raise ValueError("permutation size must be >= 1")
-        perm = list(range(n))
-        if n > 1:
-            u = self._gen.random(n - 1)
-            t = 0
-            for i in range(n - 1, 0, -1):
-                j = int(u[t] * (i + 1))
-                t += 1
-                perm[i], perm[j] = perm[j], perm[i]
-        return Permutation(np.array(perm, dtype=np.int64))
+        """Uniform permutation of {0..n-1}: the map of a Fisher-Yates shuffle.
+
+        The shuffle swaps slots i and ``j_i = floor(u_t (i+1))`` for i = n-1
+        down to 1, one uniform u_t (t = n-1-i) per step.  Slot i is final
+        after step i, so ``map[i]`` is the value in slot ``p = j_i`` just
+        before step i.  Undoing the earlier steps i' = i+1, i+2, ... in turn
+        moves that value from slot p back to slot i' whenever ``j_i' == p``.
+        This chain of slots ends at ``map[i]``, the slot the value started in.
+
+        All n chains are resolved at once.  Sorting the 3n keys (slot, id),
+        with ids ``2i`` for step i (slot j_i), ``2m+1`` for "resume in slot m
+        after step m" and ``2n+2m+1`` for "end of slot m", lines up each
+        slot m as [step m if j_m = m] [resume m] [steps i > m with j_i = m,
+        ascending] [end m].  So the key after step i, or after resume m, is
+        the chain's next move: a step i' means resume in slot i', the end of
+        slot m means the chain ends at m.  Pointer jumping then needs
+        O(log chain length) whole-array rounds.
+        """
+        if not 1 <= n < 1 << 29:
+            raise ValueError("permutation size must be in [1, 2**29)")
+        b = (4 * n).bit_length()  # the low b bits of a key hold its id (< 4n)
+        ar = np.arange(n + 1)
+        keys = np.zeros(3 * n, dtype=np.int64)
+        step, resume = keys[:n], keys[n:2 * n]
+        # j_i for i = n-1..1; the float-to-int cast truncates like int()
+        np.multiply(self._gen.random(n - 1), ar[n:1:-1], out=step[:0:-1], casting="unsafe")
+        step <<= b
+        step += ar[:n] << 1
+        np.multiply(ar[:n], (1 << b) + 2, out=resume)
+        resume += 1
+        np.add(resume, 2 * n, out=keys[2 * n:])
+        del ar, step, resume  # free each array once done: bounds the peak memory
+        keys.sort()
+        keys &= (1 << b) - 1
+        succ = np.empty(4 * n, dtype=np.int32)  # by id: the next key's id (< 4n)
+        succ[keys[:-1]] = keys[1:]
+        del keys
+        # nodes are ids >> 1: node m < n resumes slot m, node n + m ends
+        # slot m and is a root of the pointer jumping
+        target = succ[:2 * n:2] >> 1
+        jump = np.arange(2 * n)
+        np.right_shift(succ[1:2 * n:2], 1, out=jump[:n])
+        del succ
+        while jump.min() < n:
+            jump = jump[jump]
+        perm = jump[target]
+        perm -= n
+        return Permutation(perm)
 
     def subset(self, n, k):
         """Uniform k-subset of {0..n-1} by a partial Fisher-Yates pass."""

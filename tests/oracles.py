@@ -1,16 +1,37 @@
-"""Dense and exhaustive oracles for the paper's claims, used only by the tests.
+"""Reference implementations and dense or exhaustive oracles, used only by the tests.
 
-None of these runs in the program: each one checks a claim the tests make
-about it (the phase-encoding transfer matrix, the factorisation ambiguity,
-the single-query break of a +-1 matrix, the failure of the isometry property
-under column scaling).  The file is not collected by pytest; the test
-modules import it by name.
+None of these runs in the program.  ``fisher_yates_reference`` is the
+sequential shuffle that ``RandStream.permutation`` must reproduce bit for
+bit; each other one checks a claim the tests make about the paper (the
+phase-encoding transfer matrix, the factorisation ambiguity, the single-query
+break of a +-1 matrix, the failure of the isometry property under column
+scaling).  The file is not collected by pytest; the test modules import it by
+name.
 """
 
 import numpy as np
 
 from blpcs.cipher import _dft_matrix
 from blpcs.errors import GuardError
+
+
+def fisher_yates_reference(stream, n):
+    """Map of the sequential Fisher-Yates shuffle, one uniform per swap.
+
+    For i = n-1 down to 1, swap slots i and ``int(u_t * (i + 1))`` with
+    t = n-1-i.  ``RandStream.permutation`` computes the same map without
+    running the swaps.
+    """
+    perm = list(range(n))
+    if n > 1:
+        u = stream.uniform(n - 1)
+        t = 0
+        for i in range(n - 1, 0, -1):
+            j = int(u[t] * (i + 1))
+            t += 1
+            perm[i], perm[j] = perm[j], perm[i]
+    return np.array(perm, dtype=np.int64)
+
 
 _DRPE_GUARD = 32
 

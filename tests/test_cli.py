@@ -154,6 +154,25 @@ def test_exp_fig1_deterministic_csv(tmp_path):
     assert a.read_bytes().endswith(b"\n")
 
 
+@pytest.mark.parametrize("argv", [["exp", "fig1", "--trials", "-5"],
+                                  ["attack", "--seeds", "-3"],
+                                  ["exp", "attack", "--seeds", "-3"]])
+def test_negative_counts_exit_2_without_output(tmp_path, capsys, argv):
+    out = tmp_path / "neg.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [["exp", "fig1", "--trials", "0"],
+                                  ["attack", "--seeds", "0"],
+                                  ["exp", "attack", "--seeds", "0"]])
+def test_zero_counts_write_the_header_only(tmp_path, argv):
+    out = tmp_path / "zero.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1
+
+
 def test_exp_sterm_csv(tmp_path):
     out = tmp_path / "s.csv"
     assert cli.main(["exp", "sterm", "--out", str(out)]) == 0

@@ -1,5 +1,6 @@
 """Determinism and distribution checks for the labeled stream generator."""
 
+import hashlib
 import math
 from itertools import permutations
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from blpcs.keyrand import Permutation, derive_stream
+from oracles import fisher_yates_reference
 
 
 def test_same_seed_same_label_replays():
@@ -72,6 +74,30 @@ def test_next_gaussian_consumes_pairs():
 def test_permutation_identity_for_n1():
     p = derive_stream(5, "p").permutation(1)
     assert p.map.tolist() == [0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 64, 4096, 512 * 512])
+def test_permutation_matches_sequential_shuffle(n):
+    for seed, label in ((1, "perm"), (2, "perm"), (9, "attack/P_M"), (2**64 - 1, "chi/3")):
+        s, r = derive_stream(seed, label), derive_stream(seed, label)
+        assert np.array_equal(s.permutation(n).map, fisher_yates_reference(r, n))
+        assert s.uniform() == r.uniform()  # both drew exactly n - 1 uniforms
+
+
+# SHA-256 of permutation(512 * 512).map.tobytes() under label "perm" (the 2-D
+# key scramble), recorded from the sequential swap loop: the key-stream
+# convention that every key file depends on
+_GOLDEN_PERM_SHA256 = {
+    1: "ed82ff1121dd588e5b5833074ad88605691ce15d53b36045554d9dde9f304a5b",
+    2: "1523a7c941e0fab80cba23a8a1e57f7b4d1d3812b1217af9c4dfde651b872944",
+    3: "d6141b271ff0bf4a91c54b99b464f44d1d5c08e4cb536b088a1cf32435011092",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_GOLDEN_PERM_SHA256))
+def test_key_scramble_golden_hash(seed):
+    perm = derive_stream(seed, "perm").permutation(512 * 512)
+    assert hashlib.sha256(perm.map.tobytes()).hexdigest() == _GOLDEN_PERM_SHA256[seed]
 
 
 def test_permutation_inverse_composition():
