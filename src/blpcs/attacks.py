@@ -92,7 +92,7 @@ def cpa_break_and_decode(recovered, c, public_basis=None):
     recovered = np.asarray(recovered)
     c = np.asarray(c).ravel()
     B = recovered if public_basis is None else recovered @ public_basis
-    s, _ = two_step_decode(B, lambda v: v, c)
+    s = two_step_decode(B, c).estimate
     return s if public_basis is None else public_basis @ s
 
 

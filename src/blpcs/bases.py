@@ -3,10 +3,10 @@
 The fractional cosine transform is obtained from the eigendecomposition of
 the DCT matrix; packing a real signal into a half-length complex one and
 unpacking after the complex fractional transform yields a real orthogonal
-matrix (the reality-preserving fractional cosine transform).  Three
-basis-equivalence operators -- column scaling, column permutation and
-column mixing -- then turn any such basis into a key-dependent one with
-identical sparsifying power.
+matrix (the reality-preserving fractional cosine transform).
+:func:`build_secret_basis` turns it into the key-dependent basis with three
+basis-equivalence steps -- column permutation, column scaling and column
+mixing -- which keep its sparsifying power.
 
 Orientation note: with the textbook entry formula used here the DCT matrix
 has cosine waves as its *columns* (a synthesis matrix), so the
@@ -23,16 +23,11 @@ from .keyrand import Permutation
 __all__ = [
     "EigenSystem",
     "SecretBasisSpec",
-    "BasisPair",
     "dct_matrix",
     "dct_eigensystem",
-    "dfrct_matrix",
     "rpfrct_matrix",
-    "rpfrct_basis",
-    "rpfrct2d_basis",
-    "f1_scale",
-    "f2_permute",
-    "f3_mix",
+    "mix_coefficients",
+    "unmix_coefficients",
     "build_secret_basis",
     "best_s_term",
     "corner_region_1d",
@@ -116,11 +111,6 @@ def dct_eigensystem(n):
     return sys
 
 
-def dfrct_matrix(n, alpha):
-    """Complex unitary fractional cosine transform of order alpha."""
-    return dct_eigensystem(n).fractional(alpha)
-
-
 def rpfrct_matrix(M, alpha):
     """Real orthogonal reality-preserving fractional cosine transform.
 
@@ -134,107 +124,34 @@ def rpfrct_matrix(M, alpha):
     """
     if M < 2 or M % 2 != 0:
         raise ValueError("signal length must be even and >= 2")
-    B = dfrct_matrix(M // 2, alpha)
+    B = dct_eigensystem(M // 2).fractional(alpha)
     return np.block([[B.real, -B.imag], [B.imag, B.real]])
 
 
-class BasisPair:
-    """Invertible basis held as a pair of vector maps.
+def mix_coefficients(s, mixes):
+    """Coefficients in the mixed basis: the eq. 8 update for each mix (j, k, a, b).
 
-    ``to_coeffs`` maps a signal to its coefficient vector (the analysis
-    direction, Psi^{-1} x) and ``from_coeffs`` maps coefficients back.  Bases
-    are composed operator-style; the full matrix is never materialized.
+    Column j of the basis is replaced with a*psi_j + b*psi_k, so the
+    coefficients update as s'_j = s_j / a, s'_k = s_k - s_j b / a (the mixes
+    applied in reverse order).  For signals supported entirely inside or
+    outside the mixed columns the coefficient count is unchanged.  Returns a
+    new array.
     """
+    s = np.array(s, dtype=float)
+    for j, k, a, b in reversed(mixes):
+        sj = s[j]
+        s[j] = sj / a
+        s[k] = s[k] - sj * b / a
+    return s
 
-    def __init__(self, to_coeffs, from_coeffs, n):
-        self.to_coeffs = to_coeffs
-        self.from_coeffs = from_coeffs
-        self.n = n
-
-
-def rpfrct_basis(M, alpha):
-    """Length-M basis whose analysis map is x -> R_alpha^T x."""
-    R = rpfrct_matrix(M, alpha)
-    return BasisPair(lambda x: R.T @ x, lambda s: R @ s, M)
-
-def rpfrct2d_basis(n, alpha, beta):
-    """Basis on column-stacked n x n images; analysis map R_alpha^T X R_beta.
-
-    Operates on vectors of length n^2 (column-major stacking).
-    """
-    Ra = rpfrct_matrix(n, alpha)
-    Rb = rpfrct_matrix(n, beta)
-
-    def to_coeffs(x):
-        X = np.asarray(x, dtype=float).reshape((n, n), order="F")
-        return (Ra.T @ X @ Rb).flatten(order="F")
-
-    def from_coeffs(s):
-        S = np.asarray(s, dtype=float).reshape((n, n), order="F")
-        return (Ra @ S @ Rb.T).flatten(order="F")
-
-    return BasisPair(to_coeffs, from_coeffs, n * n)
-
-
-def f1_scale(basis, d):
-    """Scale basis columns by the non-zero factors d_j (coefficients scale by 1/d_j)."""
-    d = np.asarray(d, dtype=float)
-    if d.shape != (basis.n,):
-        raise ValueError("need one scale factor per basis column")
-    if np.any(d == 0):
-        raise ValueError("scale factors must be non-zero")
-    return BasisPair(
-        lambda x: basis.to_coeffs(x) / d,
-        lambda s: basis.from_coeffs(s * d),
-        basis.n,
-    )
-
-def f2_permute(basis, perm):
-    """Permute basis columns: Psi' = Psi P, so coefficients map as s' = P^T s."""
-    if perm.n != basis.n:
-        raise ValueError("permutation size does not match the basis")
-    return BasisPair(
-        lambda x: perm.apply_transpose(basis.to_coeffs(x)),
-        lambda s: basis.from_coeffs(perm.apply(s)),
-        basis.n,
-    )
-
-def f3_mix(basis, mixes, region=None):
-    """Replace column j with a*psi_j + b*psi_k for each mix record (j, k, a, b).
-
-    For signals supported entirely inside or outside the mixed columns the
-    coefficient count is unchanged; the update is s'_j = s_j / a,
-    s'_k = s_k - s_j b / a.  When a region is given, every pair must lie
-    fully inside or fully outside it.
-    """
-    mixes = [(int(j), int(k), float(a), float(b)) for j, k, a, b in mixes]
+def unmix_coefficients(sp, mixes):
+    """Inverse of :func:`mix_coefficients`; returns a new array."""
+    s = np.array(sp, dtype=float)
     for j, k, a, b in mixes:
-        if a == 0.0:
-            raise ValueError("mix factor a must be non-zero")
-        if j == k or not (0 <= j < basis.n and 0 <= k < basis.n):
-            raise ValueError(f"invalid mix pair ({j}, {k})")
-        if region is not None:
-            inside = np.isin([j, k], region)
-            if inside[0] != inside[1]:
-                raise ValueError(f"mix pair ({j}, {k}) crosses the region boundary")
-
-    def to_coeffs(x):
-        s = np.array(basis.to_coeffs(x), dtype=float)
-        for j, k, a, b in reversed(mixes):
-            sj = s[j]
-            s[j] = sj / a
-            s[k] = s[k] - sj * b / a
-        return s
-
-    def from_coeffs(sp):
-        s = np.array(sp, dtype=float)
-        for j, k, a, b in mixes:
-            sj = s[j]
-            s[j] = a * sj
-            s[k] = s[k] + b * sj
-        return basis.from_coeffs(s)
-
-    return BasisPair(to_coeffs, from_coeffs, basis.n)
+        sj = s[j]
+        s[j] = a * sj
+        s[k] = s[k] + b * sj
+    return s
 
 
 @dataclass
@@ -259,28 +176,79 @@ class SecretBasisSpec:
 
 
 def build_secret_basis(spec):
-    """Compose the key-dependent basis and return (forward, inverse) applies.
+    """Build the key-dependent basis Psi_K = Psi P D Q; return (forward, inverse).
 
-    ``forward`` is the sparsifying map Psi_K^{-1} (signal to coefficients),
-    ``inverse`` is Psi_K (coefficients to signal); both are compositions of
-    operator applications.
+    ``forward`` is the sparsifying map Psi_K^{-1} (signal to coefficients):
+    the fractional cosine analysis, then P^T, then the column scaling
+    (coefficients divide by 1/d_j), then the mix update.  ``inverse`` is
+    Psi_K (coefficients to signal) and undoes the same steps in reverse.
+    Steps the spec leaves unset are skipped.
     """
+    n = spec.n
     if spec.two_d:
         if spec.beta is None:
             raise ValueError("2-D basis needs both fractional orders")
-        basis = rpfrct2d_basis(spec.n, spec.alpha, spec.beta)
+        Ra, Rb = rpfrct_matrix(n, spec.alpha), rpfrct_matrix(n, spec.beta)
+        size = n * n
+
+        # images are column-stacked vectors of length n^2
+        def analysis(x):
+            X = np.asarray(x, dtype=float).reshape((n, n), order="F")
+            return (Ra.T @ X @ Rb).flatten(order="F")
+
+        def synthesis(s):
+            S = np.asarray(s, dtype=float).reshape((n, n), order="F")
+            return (Ra @ S @ Rb.T).flatten(order="F")
     else:
-        basis = rpfrct_basis(spec.n, spec.alpha)
-    if spec.perm is not None:
-        basis = f2_permute(basis, spec.perm)
+        R = rpfrct_matrix(n, spec.alpha)
+        size = n
+
+        def analysis(x):
+            return R.T @ x
+
+        def synthesis(s):
+            return R @ s
+
+    perm = spec.perm
+    if perm is not None and perm.n != size:
+        raise ValueError("permutation size does not match the basis")
+    inv_d = None
     if spec.scale is not None:
         d = np.asarray(spec.scale, dtype=float)
-        if np.any(d <= 0):
-            raise ValueError("scale factors d_j must be positive")
-        basis = f1_scale(basis, 1.0 / d)
-    if spec.mixes:
-        basis = f3_mix(basis, spec.mixes, region=spec.region)
-    return basis.to_coeffs, basis.from_coeffs
+        if d.shape != (size,):
+            raise ValueError("need one scale factor per basis column")
+        if not np.all((d > 0) & np.isfinite(d)):
+            raise ValueError("scale factors d_j must be positive and finite")
+        inv_d = 1.0 / d
+    mixes = [(int(j), int(k), float(a), float(b)) for j, k, a, b in spec.mixes]
+    for j, k, a, b in mixes:
+        if a == 0.0:
+            raise ValueError("mix factor a must be non-zero")
+        if j == k or not (0 <= j < size and 0 <= k < size):
+            raise ValueError(f"invalid mix pair ({j}, {k})")
+        if spec.region is not None:
+            inside = np.isin([j, k], spec.region)
+            if inside[0] != inside[1]:
+                raise ValueError(f"mix pair ({j}, {k}) crosses the region boundary")
+
+    def forward(x):
+        s = analysis(x)
+        if perm is not None:
+            s = perm.apply_transpose(s)
+        if inv_d is not None:
+            s = s / inv_d
+        return mix_coefficients(s, mixes) if mixes else s
+
+    def inverse(s):
+        if mixes:
+            s = unmix_coefficients(s, mixes)
+        if inv_d is not None:
+            s = s * inv_d
+        if perm is not None:
+            s = perm.apply(s)
+        return synthesis(s)
+
+    return forward, inverse
 
 
 def best_s_term(coeffs, s):

@@ -142,8 +142,10 @@ def keygen(seed, M, sr, alpha, beta=1.0, dmax=60, mix_count=0, mix_region=0.25):
         raise ValueError("mix_region must be in (0, 1]")
     key = BlpKey(seed=seed, M=int(M), sr=float(sr), alpha=alpha, beta=beta,
                  dmax=int(dmax), mix_count=int(mix_count), mix_region=float(mix_region))
-    if key.mix_count > 0:
-        key.basis_spec()  # fail fast if the region cannot host the mixes
+    # fail fast if even the image pipeline's (2 side)^2 corner region cannot
+    # host the mixes; a 1-D use checks its 2 side entries in basis_spec
+    if 2 * key.mix_count > (2 * key._corner_side()) ** 2:
+        raise ValueError("mix_count too large for the significant region")
     return key
 
 
@@ -164,7 +166,8 @@ def blp_decode(key, y):
     if y.size != key.K:
         raise ValueError(f"ciphertext length {y.size} does not match key K={key.K}")
     _, inverse = key.basis()
-    return two_step_decode(key.sensing_matrix(), inverse, y)
+    report = two_step_decode(key.sensing_matrix(), y)
+    return inverse(report.estimate), report
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ import numpy as np
 
 from .attacks import (EncryptionOracle, cpa_break_and_decode, cpa_recover_matrix,
                       proximity_scatter)
-from .bases import best_s_term, dct_matrix, rpfrct_matrix, rpfrct2d_basis
+from .bases import (SecretBasisSpec, best_s_term, build_secret_basis, dct_matrix,
+                    rpfrct_matrix)
 from .cipher import (blp_encode, drpe_cs_encode, drpe_masks, keygen, read_key_file,
                      load_measurements, save_measurements, scramble_frequency_encode,
                      scramble_measurements_encode, write_key_file)
@@ -82,7 +83,7 @@ def run_fig1(seed, trials=100):
         x[st.subset(M, k)] = 1.0
         y = Phi @ x
         A = Phi / d[None, :]
-        xbar, _ = two_step_decode(A, lambda s: s / d, y)
+        xbar = two_step_decode(A, y).estimate / d
         two_step = _rel_error(xbar, x)
         direct = _rel_error(ista_bpdn(Phi, y).estimate, x)
         rows.append((t, f"{two_step:.6e}", f"{direct:.6e}"))
@@ -111,9 +112,8 @@ def run_sterm():
     vec = image.flatten(order="F")
 
     def s_term_psnr(alpha, beta):
-        basis = rpfrct2d_basis(n, alpha, beta)
-        coeffs = basis.to_coeffs(vec)
-        rec = basis.from_coeffs(best_s_term(coeffs, s)).reshape((n, n), order="F")
+        forward, inverse = build_secret_basis(SecretBasisSpec(n, alpha, beta, two_d=True))
+        rec = inverse(best_s_term(forward(vec), s)).reshape((n, n), order="F")
         return psnr(image, np.clip(rec, 0, 255))
 
     ref = s_term_psnr(1.0, 1.0)
@@ -301,8 +301,6 @@ def _cmd_exp(args):
         header, rows = run_table(args.seed, args.name, trials=args.trials, n=args.n,
                                  alpha=args.alpha, beta=args.beta, dmax=args.dmax,
                                  timings=args.timings)
-    elif args.name == "attack":
-        header, rows = run_attack(args.seed, seeds=args.seeds)
     else:  # unreachable behind argparse choices
         raise ValueError(f"unknown experiment {args.name!r}")
     _write_csv(args.out, header, rows)
@@ -352,11 +350,10 @@ def _build_parser():
     p.set_defaults(fn=_cmd_attack)
 
     p = sub.add_parser("exp", help="write an experiment's results as CSV")
-    p.add_argument("name", choices=["fig1", "sterm", "table1", "table2", "attack"])
+    p.add_argument("name", choices=["fig1", "sterm", "table1", "table2"])
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--seeds", type=int, default=20)
     p.add_argument("--n", type=int, default=512)
     p.add_argument("--alpha", type=float, default=0.99)
     p.add_argument("--beta", type=float, default=0.95)

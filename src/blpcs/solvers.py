@@ -12,9 +12,9 @@ Three routes with different regimes and guarantees:
 * :func:`l0_bruteforce` -- exhaustive support search, the desk-scale oracle
   the other solvers are verified against.
 
-:func:`two_step_decode` chains a sensing-matrix solve (OMP and SP, keeping
-the feasible fit of least l1 norm) with a basis apply, which is the decoding
-pattern of the bi-level cipher.
+:func:`two_step_decode` is the sensing-matrix solve of the bi-level
+cipher's decode (OMP and SP, keeping the feasible fit of least l1 norm);
+each caller then applies its own basis to the coefficients.
 """
 
 from dataclasses import dataclass
@@ -342,15 +342,14 @@ def l0_bruteforce(A, y, k):
 # ---------------------------------------------------------------------------
 # the two-step decode of the bi-level cipher
 
-def two_step_decode(A, basis_apply, y):
-    """Solve min ||s||_1 s.t. y = A s, then map the coefficients back with
-    ``basis_apply`` (the synthesis side of the secret basis).
+def two_step_decode(A, y):
+    """Step 1 of the two-step decode: solve min ||s||_1 s.t. y = A s.
 
     A square A is solved directly.  Otherwise greedy pursuit and subspace
     pursuit both run, and the equality-feasible candidate of least l1 norm
     is kept (the smallest residual when neither is feasible).  Real and
-    complex systems are supported.  Returns (signal estimate, step-1
-    recovery report).
+    complex systems are supported.  Returns the recovery report; the caller
+    maps its coefficient estimate back through its own basis (step 2).
     """
     A = np.asarray(A)
     y = np.asarray(y).ravel()
@@ -358,13 +357,10 @@ def two_step_decode(A, basis_apply, y):
     if K == M:
         s = np.linalg.solve(A, y)
         resid = float(np.linalg.norm(y - A @ s))
-        report = RecoveryReport(estimate=s, residual_l2=resid, iterations=0, converged=True)
-    else:
-        cands = [omp_recover(A, y, K), subspace_pursuit(A, y, max(1, K // 4))]
-        ynorm = max(float(np.linalg.norm(y)), 1e-300)
-        feasible = [c for c in cands if c.residual_l2 < 1e-6 * ynorm]
-        if feasible:
-            report = min(feasible, key=lambda c: float(np.abs(c.estimate).sum()))
-        else:
-            report = min(cands, key=lambda c: c.residual_l2)
-    return basis_apply(report.estimate), report
+        return RecoveryReport(estimate=s, residual_l2=resid, iterations=0, converged=True)
+    cands = [omp_recover(A, y, K), subspace_pursuit(A, y, max(1, K // 4))]
+    ynorm = max(float(np.linalg.norm(y)), 1e-300)
+    feasible = [c for c in cands if c.residual_l2 < 1e-6 * ynorm]
+    if feasible:
+        return min(feasible, key=lambda c: float(np.abs(c.estimate).sum()))
+    return min(cands, key=lambda c: c.residual_l2)

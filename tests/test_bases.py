@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from blpcs.bases import (BasisPair, SecretBasisSpec, best_s_term, build_secret_basis,
-                         corner_region_1d, corner_region_2d, dct_eigensystem, dct_matrix,
-                         dfrct_matrix, f1_scale, f2_permute, f3_mix, rpfrct2d_basis,
-                         rpfrct_basis, rpfrct_matrix)
+from blpcs.bases import (SecretBasisSpec, best_s_term, build_secret_basis, corner_region_1d,
+                         corner_region_2d, dct_eigensystem, dct_matrix, mix_coefficients,
+                         rpfrct_matrix, unmix_coefficients)
 from blpcs.imaging import make_test_image
 from blpcs.keyrand import derive_stream
 
@@ -42,14 +41,14 @@ def test_eigensystem_invariants(n):
 
 
 def test_dfrct_order_zero_and_one():
-    n = 16
-    assert np.max(np.abs(dfrct_matrix(n, 0.0) - np.eye(n))) < 1e-8
-    assert np.max(np.abs(dfrct_matrix(n, 1.0) - dct_matrix(n))) < 1e-8
+    sys = dct_eigensystem(16)
+    assert np.max(np.abs(sys.fractional(0.0) - np.eye(16))) < 1e-8
+    assert np.max(np.abs(sys.fractional(1.0) - dct_matrix(16))) < 1e-8
 
 
 def test_dfrct_order_additivity():
-    n = 12
-    C3, C7, C1 = dfrct_matrix(n, 0.3), dfrct_matrix(n, 0.7), dfrct_matrix(n, 1.0)
+    sys = dct_eigensystem(12)
+    C3, C7, C1 = sys.fractional(0.3), sys.fractional(0.7), sys.fractional(1.0)
     assert np.max(np.abs(C3 @ C7 - C1)) < 1e-6
 
 
@@ -77,123 +76,155 @@ def test_rpfrct_matches_complex_packing_oracle():
     # apply the half-length complex transform by hand and unpack
     M, alpha = 8, 0.63
     x = derive_stream(1, "x").gaussian(M)
-    B = dfrct_matrix(M // 2, alpha)
+    B = dct_eigensystem(M // 2).fractional(alpha)
     xt = x[: M // 2] + 1j * x[M // 2:]
     yt = B @ xt
     want = np.concatenate([yt.real, yt.imag])
     assert np.allclose(rpfrct_matrix(M, alpha) @ x, want, atol=1e-10)
 
 
+def _plain(n, alpha, beta=None):
+    """(forward, inverse) of the fractional cosine basis with no secret steps."""
+    return build_secret_basis(SecretBasisSpec(n, alpha, beta, two_d=beta is not None))
+
+
 def test_rpfrct2d_identity_and_isometry():
     x = derive_stream(2, "X").gaussian((6, 6)).flatten(order="F")
-    assert np.allclose(rpfrct2d_basis(6, 0.0, 0.0).to_coeffs(x), x, atol=1e-8)
-    basis = rpfrct2d_basis(6, 0.9, 0.8)
-    s = basis.to_coeffs(x)
+    assert np.allclose(_plain(6, 0.0, 0.0)[0](x), x, atol=1e-8)
+    fwd, inv = _plain(6, 0.9, 0.8)
+    s = fwd(x)
     assert np.linalg.norm(s) == pytest.approx(np.linalg.norm(x), abs=1e-8)
-    assert np.allclose(basis.from_coeffs(s), x, atol=1e-8)
+    assert np.allclose(inv(s), x, atol=1e-8)
 
 
 def test_rpfrct2d_matches_kronecker_oracle():
     x = derive_stream(3, "X").gaussian((4, 4)).flatten(order="F")
     a, b = 0.85, 0.75
-    basis = rpfrct2d_basis(4, a, b)
+    fwd, inv = _plain(4, a, b)
     big = np.kron(rpfrct_matrix(4, b), rpfrct_matrix(4, a))
-    assert np.allclose(basis.from_coeffs(x), big @ x, atol=1e-10)
-    assert np.allclose(basis.to_coeffs(x), big.T @ x, atol=1e-10)
-
-
-def _identity_basis(n):
-    return BasisPair(lambda x: np.array(x, dtype=float),
-                     lambda s: np.array(s, dtype=float), n)
+    assert np.allclose(inv(x), big @ x, atol=1e-10)
+    assert np.allclose(fwd(x), big.T @ x, atol=1e-10)
 
 
 def test_f1_scale_identity_and_coefficients():
     n = 10
-    base = _identity_basis(n)
-    assert np.allclose(f1_scale(base, np.ones(n)).to_coeffs(np.arange(n, dtype=float)),
-                       np.arange(n))
-    d = np.arange(1, n + 1, dtype=float)
-    scaled = f1_scale(base, d)
     x = derive_stream(4, "x").gaussian(n)
-    assert np.allclose(scaled.to_coeffs(x), x / d)
-    assert np.allclose(scaled.from_coeffs(scaled.to_coeffs(x)), x)
-    with pytest.raises(ValueError):
-        f1_scale(base, np.zeros(n))
+    plain, _ = _plain(n, 0.9)
+    fwd, _ = build_secret_basis(SecretBasisSpec(n, 0.9, scale=np.ones(n)))
+    assert np.array_equal(fwd(x), plain(x))
+    d = np.arange(1, n + 1, dtype=float)
+    fwd, inv = build_secret_basis(SecretBasisSpec(n, 0.9, scale=d))
+    assert np.array_equal(fwd(x), plain(x) / (1.0 / d))  # coefficients scale by d_j
+    assert np.allclose(inv(fwd(x)), x)
+    for bad in (np.zeros(n), -d, np.full(n, np.inf), np.full(n, np.nan), np.ones(n + 1)):
+        with pytest.raises(ValueError):
+            build_secret_basis(SecretBasisSpec(n, 0.9, scale=bad))
 
 
 def test_f1_preserves_sparsity_through_transform():
     M = 32
-    base = rpfrct_basis(M, 0.95)
+    _, plain_inv = _plain(M, 0.95)
     d = derive_stream(5, "d").integers(1, 9, M).astype(float)
-    scaled = f1_scale(base, d)
+    fwd, _ = build_secret_basis(SecretBasisSpec(M, 0.95, scale=d))
     s = np.zeros(M)
     s[derive_stream(5, "sup").subset(M, 10)] = 1.0 + derive_stream(5, "v").uniform(10)
-    x = base.from_coeffs(s)
-    assert np.count_nonzero(np.abs(scaled.to_coeffs(x)) > 1e-10) == 10
+    x = plain_inv(s)
+    assert np.count_nonzero(np.abs(fwd(x)) > 1e-10) == 10
 
 
 def test_f2_permute_support_mapping():
     n = 16
-    base = _identity_basis(n)
     perm = derive_stream(6, "p").permutation(n)
-    permuted = f2_permute(base, perm)
+    plain, plain_inv = _plain(n, 0.9)
+    fwd, inv = build_secret_basis(SecretBasisSpec(n, 0.9, perm=perm))
+    x = derive_stream(6, "x").gaussian(n)
+    assert np.array_equal(fwd(x), perm.apply_transpose(plain(x)))
     s = np.zeros(n)
     s[[2, 5, 11]] = (1.0, -2.0, 3.0)
-    sp = permuted.to_coeffs(s)
-    assert np.count_nonzero(sp) == 3
-    assert set(np.flatnonzero(sp)) == {perm.map[2], perm.map[5], perm.map[11]}
-    assert np.allclose(permuted.from_coeffs(sp), s)
+    sp = fwd(plain_inv(s))
+    assert set(np.flatnonzero(np.abs(sp) > 1e-9)) == {perm.map[2], perm.map[5], perm.map[11]}
+    assert np.allclose(inv(sp), plain_inv(s))
+    with pytest.raises(ValueError):
+        build_secret_basis(SecretBasisSpec(n + 2, 0.9, perm=perm))
 
 
 def test_f2_sparsity_preserved_over_trials():
     M = 24
-    base = rpfrct_basis(M, 0.9)
+    _, plain_inv = _plain(M, 0.9)
     st = derive_stream(7, "t")
     for _ in range(200):
         perm = st.permutation(M)
-        alt = f2_permute(base, perm)
+        fwd, _ = build_secret_basis(SecretBasisSpec(M, 0.9, perm=perm))
         s = np.zeros(M)
         s[st.subset(M, 5)] = st.gaussian(5)
-        x = base.from_coeffs(s)
-        assert np.count_nonzero(np.abs(alt.to_coeffs(x)) > 1e-9) == np.count_nonzero(s)
+        x = plain_inv(s)
+        assert np.count_nonzero(np.abs(fwd(x)) > 1e-9) == np.count_nonzero(s)
 
 
 def test_f3_mix_identity_and_eq8_update():
     n = 8
-    base = _identity_basis(n)
     # a=1, b=0 leaves everything unchanged
-    plain = f3_mix(base, [(2, 5, 1.0, 0.0)])
     x = derive_stream(8, "x").gaussian(n)
-    assert np.allclose(plain.to_coeffs(x), x)
+    assert np.array_equal(mix_coefficients(x, [(2, 5, 1.0, 0.0)]), x)
     # integer closed form: s_j=4, s_k=5, a=2, b=3 -> s'_j=2, s'_k=-1
-    mixed = f3_mix(base, [(2, 5, 2.0, 3.0)])
+    mixes = [(2, 5, 2.0, 3.0)]
     s = np.zeros(n)
     s[2], s[5] = 4.0, 5.0
-    x = base.from_coeffs(s)  # x == s for the identity basis
-    sp = mixed.to_coeffs(x)
+    sp = mix_coefficients(s, mixes)
     assert sp[2] == 2.0 and sp[5] == -1.0
-    assert np.allclose(mixed.from_coeffs(sp), x)
+    assert np.array_equal(unmix_coefficients(sp, mixes), s)
+    assert s[2] == 4.0  # the input is not modified
+    # the builder's mix step is this update
+    plain, _ = _plain(n, 0.9)
+    fwd, inv = build_secret_basis(SecretBasisSpec(n, 0.9, mixes=mixes))
+    assert np.array_equal(fwd(x), mix_coefficients(plain(x), mixes))
+    assert np.allclose(inv(fwd(x)), x)
 
 
 def test_f3_outside_support_pairs_do_nothing():
-    n = 12
-    base = _identity_basis(n)
-    mixed = f3_mix(base, [(7, 9, 1.7, -0.4)])
-    s = np.zeros(n)
+    s = np.zeros(12)
     s[[0, 2]] = (1.0, 4.0)
-    assert np.allclose(mixed.to_coeffs(base.from_coeffs(s)), s)
+    assert np.array_equal(mix_coefficients(s, [(7, 9, 1.7, -0.4)]), s)
 
 
 def test_f3_region_constraint_enforced():
     n = 12
-    base = _identity_basis(n)
     region = np.array([0, 1, 2, 3])
-    f3_mix(base, [(0, 3, 1.0, 1.0)], region=region)  # inside: fine
-    f3_mix(base, [(6, 9, 1.0, 1.0)], region=region)  # outside: fine
-    with pytest.raises(ValueError):
-        f3_mix(base, [(0, 9, 1.0, 1.0)], region=region)
-    with pytest.raises(ValueError):
-        f3_mix(base, [(0, 3, 0.0, 1.0)])
+
+    def build(mixes, region=region):
+        return build_secret_basis(SecretBasisSpec(n, 0.9, mixes=mixes, region=region))
+
+    build([(0, 3, 1.0, 1.0)])  # inside: fine
+    build([(6, 9, 1.0, 1.0)])  # outside: fine
+    with pytest.raises(ValueError, match="crosses"):
+        build([(0, 9, 1.0, 1.0)])
+    for bad in ([(0, 3, 0.0, 1.0)], [(3, 3, 1.0, 1.0)], [(0, n, 1.0, 1.0)]):
+        with pytest.raises(ValueError):
+            build(bad, region=None)
+
+
+def test_2d_spec_needs_beta():
+    with pytest.raises(ValueError, match="fractional orders"):
+        build_secret_basis(SecretBasisSpec(8, 0.9, two_d=True))
+
+
+@pytest.mark.parametrize("beta", [None, 0.8])
+def test_full_spec_is_the_composition_of_its_steps(beta):
+    # forward = plain analysis, then P^T, then / (1 / d), then the mix update,
+    # byte for byte; the inverse undoes it
+    n = 8
+    size = n * n if beta is not None else n
+    st = derive_stream(12, f"full/{beta}")
+    perm = st.permutation(size)
+    d = st.integers(1, 9, size).astype(float)
+    mixes = [(1, 4, 1.5, -0.5), (6, 2, -0.7, 1.2)]
+    plain, _ = _plain(n, 0.9, beta)
+    fwd, inv = build_secret_basis(SecretBasisSpec(n, 0.9, beta, perm=perm, scale=d,
+                                                  mixes=mixes, two_d=beta is not None))
+    x = st.gaussian(size)
+    want = mix_coefficients(perm.apply_transpose(plain(x)) / (1.0 / d), mixes)
+    assert np.array_equal(fwd(x), want)
+    assert np.allclose(inv(fwd(x)), x, atol=1e-10)
 
 
 def test_corner_regions():
@@ -207,9 +238,8 @@ def test_corner_regions():
 def test_build_secret_basis_reduces_to_plain_dct_family():
     spec = SecretBasisSpec(n=16, alpha=1.0)
     fwd, inv = build_secret_basis(spec)
-    plain = rpfrct_basis(16, 1.0)
     x = derive_stream(9, "x").gaussian(16)
-    assert np.allclose(fwd(x), plain.to_coeffs(x))
+    assert np.allclose(fwd(x), rpfrct_matrix(16, 1.0).T @ x)
     assert np.allclose(inv(fwd(x)), x, atol=1e-8)
 
 
@@ -231,10 +261,10 @@ def test_build_secret_basis_roundtrip_and_sparsity():
     x = st.gaussian(M)
     assert np.allclose(inv(fwd(x)), x, atol=1e-8)
     # signals whose plain support fills the significant region keep their count
-    plain = rpfrct_basis(M, 0.97)
+    _, plain_inv = _plain(M, 0.97)
     s = np.zeros(M)
     s[region_plain] = 1.0 + st.uniform(region_plain.size)
-    x_sig = plain.from_coeffs(s)
+    x_sig = plain_inv(s)
     assert np.count_nonzero(np.abs(fwd(x_sig)) > 1e-9) == region_plain.size
 
 
@@ -259,8 +289,8 @@ def test_best_s_term():
 def test_energy_localizes_in_subblock_corners():
     # coefficients of a natural image concentrate in the four corner blocks
     img = make_test_image(512)
-    basis = rpfrct2d_basis(512, 0.99, 0.95)
-    coeffs = basis.to_coeffs(img.flatten(order="F"))
+    fwd, _ = _plain(512, 0.99, 0.95)
+    coeffs = fwd(img.flatten(order="F"))
     corners = corner_region_2d(512, 128)
     share = np.sum(coeffs[corners] ** 2) / np.sum(coeffs ** 2)
     assert share >= 0.70

@@ -1,10 +1,12 @@
 """CLI contract: flags, exit codes, file handoffs, CSV determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 import blpcs.cli as cli
-from blpcs.cipher import load_measurements, save_measurements
+from blpcs.cipher import keygen, load_measurements, read_key_file, save_measurements
 from blpcs.errors import GuardError
 from blpcs.imaging import make_test_image, save_pgm
 
@@ -155,8 +157,7 @@ def test_exp_fig1_deterministic_csv(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [["exp", "fig1", "--trials", "-5"],
-                                  ["attack", "--seeds", "-3"],
-                                  ["exp", "attack", "--seeds", "-3"]])
+                                  ["attack", "--seeds", "-3"]])
 def test_negative_counts_exit_2_without_output(tmp_path, capsys, argv):
     out = tmp_path / "neg.csv"
     assert cli.main(argv + ["--out", str(out)]) == 2
@@ -165,8 +166,7 @@ def test_negative_counts_exit_2_without_output(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [["exp", "fig1", "--trials", "0"],
-                                  ["attack", "--seeds", "0"],
-                                  ["exp", "attack", "--seeds", "0"]])
+                                  ["attack", "--seeds", "0"]])
 def test_zero_counts_write_the_header_only(tmp_path, argv):
     out = tmp_path / "zero.csv"
     assert cli.main(argv + ["--out", str(out)]) == 0
@@ -183,12 +183,14 @@ def test_exp_sterm_csv(tmp_path):
     assert float(diag_one[0].split(",")[-1]) == pytest.approx(1.0, abs=1e-6)
 
 
-def test_exp_attack_deterministic(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert cli.main(["exp", "attack", "--seed", "3", "--seeds", "2", "--out", str(a)]) == 0
-    assert cli.main(["attack", "--seed", "3", "--seeds", "2", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-    assert a.read_text().splitlines()[0] == "target,seed,M,K,k,queries,break_success,rel_error"
+@pytest.mark.parametrize("argv", [["exp", "attack"], ["exp", "fig1", "--seeds", "2"]])
+def test_exp_has_no_attack_route(tmp_path, capsys, argv):
+    # the attack sweep runs only as `blpcs attack`
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 def test_exp_table_small_smoke(tmp_path, capsys):
@@ -255,3 +257,47 @@ def test_threads_env_parsing(monkeypatch):
     assert cli.max_workers() >= 1
     monkeypatch.setenv("BLPCS_THREADS", "junk")
     assert cli.max_workers() >= 1
+
+
+def test_keygen_mix_count_is_checked_against_the_image_region(tmp_path, capsys):
+    # an image key's mixes live in the (2 side)^2 corner region of the 2-D
+    # coefficients; 2 * 20 mixes exceed the 1-D region's 2 side = 16 entries
+    # but fit the 2-D one
+    key = tmp_path / "k.key"
+    assert cli.main(["keygen", "--seed", "1", "--n", "64", "--sr", "0.5",
+                     "--mix-count", "20", "--out", str(key)]) == 0
+    ref, meas, rec = tmp_path / "in.pgm", tmp_path / "m.blpy", tmp_path / "rec.pgm"
+    save_pgm(make_test_image(64), ref)
+    assert cli.main(["encode", "--key", str(key), "--in", str(ref), "--out", str(meas)]) == 0
+    assert cli.main(["decode", "--key", str(key), "--in", str(meas), "--out", str(rec),
+                     "--reference", str(ref)]) == 0
+    assert float(capsys.readouterr().out.strip().split("=")[1]) > 20.0
+    with pytest.raises(ValueError, match="mix_count too large"):
+        read_key_file(key).basis_spec()  # the 1-D region cannot host them
+    assert cli.main(["keygen", "--seed", "1", "--n", "512", "--sr", "0.5",
+                     "--mix-count", "100", "--out", str(tmp_path / "big.key")]) == 0
+    with pytest.raises(ValueError, match="mix_count too large"):
+        keygen(1, 16, 0.5, 1.0, mix_count=200)  # more than (2 side)^2 = 16 allows
+
+
+# SHA-256 of the BLPY and PGM files of a 64x64 key with mixes (seed 7, sr 0.5,
+# 4 mixes, CLI defaults otherwise); equal at OPENBLAS_NUM_THREADS 1 and 2
+_MIXED_IMAGE_SHA256 = {
+    "m.blpy": "9ca1d924ea8b532ceff09ae3e617bf19a29031aa8943f7d9906424b8fed85e9e",
+    "rec.pgm": "ef84e9291881e3dc50887784a5db5885e04247c9aa3a3cafe6d011d19048cab9",
+}
+
+
+def test_mixed_image_key_outputs_are_byte_stable(tmp_path):
+    # the only check of the 2-D secret basis with mixes, byte for byte
+    key, ref = tmp_path / "k.key", tmp_path / "in.pgm"
+    save_pgm(make_test_image(64), ref)
+    assert cli.main(["keygen", "--seed", "7", "--n", "64", "--sr", "0.5",
+                     "--mix-count", "4", "--out", str(key)]) == 0
+    assert cli.main(["encode", "--key", str(key), "--in", str(ref),
+                     "--out", str(tmp_path / "m.blpy")]) == 0
+    assert cli.main(["decode", "--key", str(key), "--in", str(tmp_path / "m.blpy"),
+                     "--out", str(tmp_path / "rec.pgm")]) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in _MIXED_IMAGE_SHA256}
+    assert got == _MIXED_IMAGE_SHA256

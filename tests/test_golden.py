@@ -18,7 +18,7 @@ DATA = Path(__file__).parent / "data"
 CASES = {
     "fig1": ["exp", "fig1", "--trials", "10"],
     "sterm": ["exp", "sterm"],
-    "attack": ["exp", "attack", "--seeds", "2"],
+    "attack": ["attack", "--seeds", "2"],
     "table1": ["exp", "table1", "--n", "32", "--trials", "2"],
     "table2": ["exp", "table2", "--n", "32", "--trials", "2"],
 }

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from blpcs.bases import SecretBasisSpec, build_secret_basis
 from blpcs.cipher import keygen
 from blpcs.errors import FormatError, GuardError
 from blpcs.imaging import (ChannelModel, acceptable_permutation_stats, apply_channel,
@@ -111,9 +112,8 @@ def _sparse_test_setup(n=64, seed=11):
     cols = st.subset(h - 1, 10) + 1
     for r, c in zip(rows, cols):
         T[r, c] = 100.0 * (st.uniform() - 0.5)
-    from blpcs.bases import rpfrct2d_basis
-    basis = rpfrct2d_basis(n, 1.0, 1.0)
-    image = basis.from_coeffs(T.flatten(order="F")).reshape((n, n), order="F")
+    _, inverse = build_secret_basis(SecretBasisSpec(n, 1.0, 1.0, two_d=True))
+    image = inverse(T.flatten(order="F")).reshape((n, n), order="F")
     assert image.min() >= 0 and image.max() <= 255
     return key, image
 
@@ -168,8 +168,8 @@ def test_bcs_in_matches_blp_when_sparsity_uniform():
     st = derive_stream(6, "rows")
     T = np.zeros((n, n))
     T[st.integers(0, n, n), np.arange(n)] = 40.0 + 80.0 * st.uniform(n)
-    from blpcs.bases import rpfrct2d_basis
-    img = rpfrct2d_basis(n, 1.0, 1.0).from_coeffs(T.flatten(order="F"))
+    _, inverse = build_secret_basis(SecretBasisSpec(n, 1.0, 1.0, two_d=True))
+    img = inverse(T.flatten(order="F"))
     img = img.reshape((n, n), order="F") + 128.0
     assert img.min() >= 0 and img.max() <= 255
     p_blp = psnr(img, columnwise_decode(key, columnwise_encode(key, img)))
