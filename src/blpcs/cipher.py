@@ -25,7 +25,6 @@ from .solvers import two_step_decode
 
 __all__ = [
     "BlpKey",
-    "MeasurementPacket",
     "DrpeMasks",
     "keygen",
     "blp_encode",
@@ -294,47 +293,49 @@ def read_key_file(path):
         raise FormatError(f"{path}: {exc}") from exc
 
 
-@dataclass
-class MeasurementPacket:
-    """Measurements of one encoded block with their surviving row indices."""
-
-    indices: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.indices = np.asarray(self.indices, dtype=np.int64)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.indices.shape != self.values.shape:
-            raise ValueError("indices and values must align")
-
-
 _ENTRY_DTYPE = np.dtype([("idx", "<u4"), ("val", "<f8")])
 
 
-def save_measurements(path, packets, K):
-    """Write measurement packets in the BLPY binary format."""
+def save_measurements(path, Y, K):
+    """Write K x n measurements, NaN where one was not received, as BLPY.
+
+    The file is the magic ``BLPY``, the packet count n and K as little-endian
+    u4, then one packet per column: a u4 entry count and that many
+    (u4 row, f8 value) entries, the column's received rows in ascending order.
+    """
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 2 or Y.shape[0] != K:
+        raise ValueError(f"measurements of shape {Y.shape} do not have K={K} rows")
+    if np.isinf(Y).any():
+        raise ValueError("measurements must be finite or NaN (not received)")
+    received = ~np.isnan(Y.T)  # packet by packet, rows ascending
+    counts = received.sum(axis=1)
+    entries = np.empty(int(counts.sum()), dtype=_ENTRY_DTYPE)
+    entries["idx"] = np.nonzero(received)[1]
+    entries["val"] = Y.T[received]
     with open(path, "wb") as fh:
         fh.write(_MEAS_MAGIC)
-        fh.write(np.array([len(packets), K], dtype="<u4").tobytes())
-        for pkt in packets:
-            entries = np.empty(pkt.indices.size, dtype=_ENTRY_DTYPE)
-            entries["idx"] = pkt.indices
-            entries["val"] = pkt.values
-            fh.write(np.array([pkt.indices.size], dtype="<u4").tobytes())
-            fh.write(entries.tobytes())
+        fh.write(np.array([Y.shape[1], K], dtype="<u4").tobytes())
+        for count, end in zip(counts, np.cumsum(counts)):
+            fh.write(np.array([count], dtype="<u4").tobytes())
+            fh.write(entries[end - count:end].tobytes())
 
 
-def load_measurements(path):
-    """Read a BLPY file; returns (packets, K)."""
+def load_measurements(path, K, n):
+    """Read a BLPY file of K x n measurements; NaN marks a row not received."""
     with open(path, "rb") as fh:
         if fh.read(4) != _MEAS_MAGIC:
             raise FormatError(f"{path}: not a BLPY measurement file")
         head = fh.read(8)
         if len(head) != 8:
             raise FormatError(f"{path}: truncated BLPY header")
-        count, K = np.frombuffer(head, dtype="<u4")
-        packets = []
-        for _ in range(int(count)):
+        count, K_file = (int(v) for v in np.frombuffer(head, dtype="<u4"))
+        if K_file != K:
+            raise FormatError(f"{path}: measurement count {K_file} does not match K={K}")
+        if count != n:
+            raise FormatError(f"{path}: {count} packets do not match {n} columns")
+        Y = np.full((K, n), np.nan)
+        for j in range(n):
             raw = fh.read(4)
             if len(raw) != 4:
                 raise FormatError(f"{path}: truncated packet header")
@@ -351,8 +352,7 @@ def load_measurements(path):
                 raise FormatError(f"{path}: row index repeated within a packet")
             if not np.isfinite(entries["val"]).all():
                 raise FormatError(f"{path}: non-finite measurement value")
-            packets.append(MeasurementPacket(indices=entries["idx"].astype(np.int64),
-                                             values=entries["val"].astype(float)))
+            Y[entries["idx"], j] = entries["val"]
         if fh.read(1):
             raise FormatError(f"{path}: trailing bytes after the last packet")
-    return packets, int(K)
+    return Y

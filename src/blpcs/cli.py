@@ -38,8 +38,10 @@ def max_workers():
     try:
         val = int(raw)
     except ValueError:
-        val = 0
-    return val if val > 0 else (os.cpu_count() or 1)
+        val = -1
+    if val < 0:
+        raise ValueError(f"BLPCS_THREADS must be an integer >= 0, got {raw!r}")
+    return val or (os.cpu_count() or 1)
 
 
 def _write_csv(path, header, rows):
@@ -160,13 +162,13 @@ def run_table(seed, which, trials=10, n=512, alpha=0.99, beta=0.95, dmax=16,
                 ck = (t, model)
                 if ck not in encoded:
                     encoded[ck] = columnwise_encode(key, img, scramble=model == "blp-cs")
-                pkts = encoded[ck]
+                Y = encoded[ck]
                 if channel != "ideal":
                     cm = ChannelModel(kind=channel, noise_var=1.0 if channel == "awgn" else 0.0,
                                       plr=plr)
                     cs = derive_stream(seed, f"{which}/chan/{sr}/{channel}/{plr}/{t}")
-                    pkts = apply_channel(pkts, cm, cs)
-                rec = columnwise_decode(key, pkts, scramble=model == "blp-cs")
+                    Y = apply_channel(Y, cm, cs)
+                rec = columnwise_decode(key, Y, scramble=model == "blp-cs")
                 ratios.append(_image_ratio(img, rec))
             seconds = time.monotonic() - t0 if timings else 0.0
             rows.append(("standin", f"{sr:g}", model, channel, f"{plr:g}",
@@ -262,18 +264,14 @@ def _cmd_keygen(args):
 def _cmd_encode(args):
     key = read_key_file(args.key)
     image = load_pgm(args.input)
-    packets = columnwise_encode(key, image, scramble=not args.baseline)
-    save_measurements(args.out, packets, key.K)
+    Y = columnwise_encode(key, image, scramble=not args.baseline)
+    save_measurements(args.out, Y, key.K)
     return 0
 
 def _cmd_decode(args):
     key = read_key_file(args.key)
-    packets, K = load_measurements(args.input)
-    if K != key.K:
-        raise FormatError(f"{args.input}: measurement count {K} does not match key K={key.K}")
-    if len(packets) != key.M:
-        raise FormatError(f"{args.input}: {len(packets)} packets do not match key M={key.M}")
-    rec = columnwise_decode(key, packets, scramble=not args.baseline)
+    Y = load_measurements(args.input, key.K, key.M)
+    rec = columnwise_decode(key, Y, scramble=not args.baseline)
     save_pgm(rec, args.out)
     if args.reference:
         ref = load_pgm(args.reference)

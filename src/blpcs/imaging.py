@@ -2,11 +2,12 @@
 
 An n x n image is mapped to transform coefficients, globally scrambled and
 scaled (the secret basis), and each coefficient column is sampled by the
-shared Gaussian sensing matrix -- so the whole-image sensing matrix is block
-diagonal and reconstruction runs column by column.  The scrambling evens
-out the per-column sparsity, which is what lets every column survive with
-the same row budget; the unscrambled variant of the same pipeline is kept
-as the comparison baseline.
+shared K x n Gaussian sensing matrix -- so the whole-image sensing matrix is
+block diagonal, the measurements are one K x n array ``Y = A S'`` (NaN marks
+a measurement that was not received), and reconstruction runs column by
+column.  The scrambling evens out the per-column sparsity, which is what
+lets every column survive with the same row budget; the unscrambled variant
+of the same pipeline is kept as the comparison baseline.
 
 Also here: PGM-P5 image I/O, the noise and packet-loss channel models, peak
 signal-to-noise metrics, and a deterministic natural-image stand-in used by
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cipher import MeasurementPacket
 from .errors import FormatError, GuardError
 from .keyrand import derive_stream
 from .solvers import ista_bpdn_batch
@@ -181,11 +181,13 @@ def _check_image(key, image):
         raise ValueError("image must be square with even side")
     if n != key.M:
         raise ValueError(f"image side {n} does not match key M={key.M}")
+    if not np.isfinite(image).all():
+        raise ValueError("image has non-finite pixels")
     return image, n
 
 
 def columnwise_encode(key, image, scramble=True):
-    """Encode an image into one measurement packet per column.
+    """Encode an image into its K x n measurements ``Y = A S'``.
 
     Pipeline: 2-D fractional cosine coefficients, global scrambling, column
     scaling, then the shared K x n Gaussian matrix applied to every
@@ -197,35 +199,27 @@ def columnwise_encode(key, image, scramble=True):
     forward, _ = key.basis(two_d=True, scramble=scramble)
     Sp = forward(image.flatten(order="F")).reshape((n, n), order="F")
     Y = key.sensing_matrix() @ Sp
-    rows = np.arange(key.K, dtype=np.int64)
-    return [MeasurementPacket(indices=rows.copy(), values=Y[:, j].copy())
-            for j in range(n)]
+    if not np.isfinite(Y).all():  # NaN would read as a measurement not received
+        raise GuardError("measurements overflow: image values too large")
+    return Y
 
 
-def _packets_to_matrix(packets, K):
-    n = len(packets)
-    Y = np.zeros((K, n))
-    mask = np.zeros((K, n))
-    complete = True
-    for j, pkt in enumerate(packets):
-        if pkt.indices.size and (pkt.indices.min() < 0 or pkt.indices.max() >= K):
-            raise ValueError("packet row index out of range")
-        Y[pkt.indices, j] = pkt.values
-        mask[pkt.indices, j] = 1.0
-        complete = complete and pkt.indices.size == K
-    return Y, (None if complete else mask)
-
-
-def columnwise_decode(key, packets, scramble=True):
+def columnwise_decode(key, Y, scramble=True):
     """Parallel per-column sparse recovery, then the inverse secret basis.
 
-    Columns are independent given the shared sensing matrix; packets with
-    missing rows are solved against the surviving rows only.  The result is
-    clamped to [0, 255].
+    Columns are independent given the shared sensing matrix; a column with
+    NaN entries (measurements not received) is solved against its received
+    rows only.  The result is clamped to [0, 255].
     """
-    if len(packets) != key.M:
-        raise ValueError(f"expected {key.M} packets, got {len(packets)}")
-    Y, mask = _packets_to_matrix(packets, key.K)
+    Y = np.asarray(Y, dtype=float)
+    if Y.shape != (key.K, key.M):
+        raise ValueError(f"measurements of shape {Y.shape} do not match the key's "
+                         f"{(key.K, key.M)}")
+    mask = ~np.isnan(Y)
+    if mask.all():
+        mask = None
+    else:
+        Y = np.where(mask, Y, 0.0)
     A = key.sensing_matrix()
     if key.K == key.M and mask is None:
         Shat = np.linalg.solve(A, Y)  # full-rate sampling is plainly invertible
@@ -274,28 +268,28 @@ class ChannelModel:
     def __post_init__(self):
         if self.kind not in ("ideal", "awgn", "packet_loss"):
             raise ValueError(f"unknown channel kind {self.kind!r}")
-        if self.noise_var < 0:
-            raise ValueError("noise_var must be >= 0")
+        if not 0.0 <= self.noise_var < np.inf:
+            raise ValueError("noise_var must be finite and >= 0")
         if not 0.0 <= self.plr < 1.0:
             raise ValueError("plr must be in [0, 1)")
 
 
-def apply_channel(packets, model, stream):
-    """Pass measurement packets through the channel.
+def apply_channel(Y, model, stream):
+    """Pass K x n measurements through the channel; returns a new array.
 
-    AWGN adds i.i.d. noise of the configured variance to every surviving
-    value; packet loss drops each measurement independently with probability
-    plr, updating the surviving-index lists.  Packets are processed in
-    order, one draw block per packet.
+    AWGN adds i.i.d. noise of the configured variance to every received
+    value; packet loss drops each received value independently with
+    probability plr, marking it NaN.  Each received value takes one draw,
+    in column order with rows ascending (the packet order of the BLPY file).
     """
-    out = []
-    for pkt in packets:
-        if model.kind == "ideal" or pkt.indices.size == 0:
-            out.append(MeasurementPacket(pkt.indices.copy(), pkt.values.copy()))
-        elif model.kind == "awgn":
-            noise = stream.gaussian(pkt.values.size) * np.sqrt(model.noise_var)
-            out.append(MeasurementPacket(pkt.indices.copy(), pkt.values + noise))
-        else:
-            keep = stream.uniform(pkt.indices.size) >= model.plr
-            out.append(MeasurementPacket(pkt.indices[keep], pkt.values[keep]))
-    return out
+    Y = np.array(Y, dtype=float)
+    if model.kind == "ideal":
+        return Y
+    received = ~np.isnan(Y.T)
+    values = Y.T[received]
+    if model.kind == "awgn":
+        values += stream.gaussian(values.size) * np.sqrt(model.noise_var)
+    else:
+        values[stream.uniform(values.size) < model.plr] = np.nan
+    Y.T[received] = values
+    return Y

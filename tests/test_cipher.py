@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from blpcs.cipher import (BlpKey, DrpeMasks, MeasurementPacket, blp_decode, blp_encode,
+from blpcs.cipher import (BlpKey, DrpeMasks, blp_decode, blp_encode,
                           drpe_cs_encode, drpe_masks, keygen, load_measurements,
                           read_key_file, save_measurements, scramble_frequency_encode,
                           scramble_measurements_encode, write_key_file)
@@ -229,35 +229,76 @@ def test_drpe_guard_and_mask_validation():
         DrpeMasks(np.full(4, 2.0 + 0j), np.ones(4, dtype=complex))
 
 
+def _measurements():
+    """6 x 3 measurements: a column with holes, a full one and an empty one."""
+    Y = np.full((6, 3), np.nan)
+    Y[[0, 2, 5], 0] = [1.5, -2.0, 0.25]
+    Y[:, 1] = np.linspace(0, 1, 6)
+    return Y
+
+
 def test_measurement_file_roundtrip(tmp_path):
-    pkts = [
-        MeasurementPacket(indices=np.array([0, 2, 5]), values=np.array([1.5, -2.0, 0.25])),
-        MeasurementPacket(indices=np.arange(6), values=np.linspace(0, 1, 6)),
-        MeasurementPacket(indices=np.array([], dtype=np.int64), values=np.array([])),
-    ]
+    Y = _measurements()
     path = tmp_path / "m.blpy"
-    save_measurements(path, pkts, K=6)
-    loaded, K = load_measurements(path)
-    assert K == 6 and len(loaded) == 3
-    for a, b in zip(pkts, loaded):
-        assert np.array_equal(a.indices, b.indices)
-        assert np.array_equal(a.values, b.values)
+    save_measurements(path, Y, K=6)
+    assert np.array_equal(load_measurements(path, 6, 3), Y, equal_nan=True)
+    # the format, packet by packet: each column's received rows, ascending
+    want = b"BLPY" + np.array([3, 6], dtype="<u4").tobytes()
+    for column in Y.T:
+        rows = np.flatnonzero(~np.isnan(column))
+        want += np.array([rows.size], dtype="<u4").tobytes()
+        for r in rows:
+            want += (np.array([r], dtype="<u4").tobytes()
+                     + np.array([column[r]], dtype="<f8").tobytes())
+    assert path.read_bytes() == want
+
+
+def test_measurement_file_save_checks_its_input(tmp_path):
+    path = tmp_path / "m.blpy"
+    with pytest.raises(ValueError, match="K=5"):
+        save_measurements(path, _measurements(), K=5)
+    Y = _measurements()
+    Y[1, 1] = float("inf")
+    with pytest.raises(ValueError, match="finite"):
+        save_measurements(path, Y, K=6)
+    assert not path.exists()
+
+
+def test_measurement_file_rows_may_come_in_any_order(tmp_path):
+    sorted_path, shuffled_path = tmp_path / "a.blpy", tmp_path / "b.blpy"
+    save_measurements(sorted_path, _measurements(), K=6)
+    data = bytearray(sorted_path.read_bytes())
+    # swap the first and last (u4 row, f8 value) entries of packet 0
+    first, last = slice(16, 28), slice(40, 52)
+    data[first], data[last] = data[last], data[first]
+    shuffled_path.write_bytes(bytes(data))
+    assert np.array_equal(load_measurements(shuffled_path, 6, 3),
+                          load_measurements(sorted_path, 6, 3), equal_nan=True)
+
+
+def test_measurement_file_header_must_match_the_expected_shape(tmp_path):
+    path = tmp_path / "m.blpy"
+    save_measurements(path, _measurements(), K=6)
+    with pytest.raises(FormatError, match="measurement count 6 does not match K=5"):
+        load_measurements(path, 5, 3)
+    with pytest.raises(FormatError, match="3 packets do not match 4 columns"):
+        load_measurements(path, 6, 4)
 
 
 def test_measurement_file_rejects_garbage(tmp_path):
     path = tmp_path / "m.blpy"
     path.write_bytes(b"NOPE")
     with pytest.raises(FormatError):
-        load_measurements(path)
+        load_measurements(path, 4, 1)
     path.write_bytes(b"BLPY" + np.array([1, 4], dtype="<u4").tobytes()
                      + np.array([2], dtype="<u4").tobytes() + b"\x00" * 5)
     with pytest.raises(FormatError):
-        load_measurements(path)
+        load_measurements(path, 4, 1)
     # row index beyond K
-    bad = MeasurementPacket(indices=np.array([9]), values=np.array([1.0]))
-    save_measurements(path, [bad], K=4)
-    with pytest.raises(FormatError):
-        load_measurements(path)
+    path.write_bytes(b"BLPY" + np.array([1, 4, 1, 9], dtype="<u4").tobytes()
+                     + np.array([1.0], dtype="<f8").tobytes())
+    with pytest.raises(FormatError, match="out of range"):
+        load_measurements(path, 4, 1)
 
 
 @pytest.mark.parametrize("defect, match", [
@@ -265,17 +306,22 @@ def test_measurement_file_rejects_garbage(tmp_path):
     ("repeated", "repeated"), ("trailing", "trailing"), ("oversized", "more than K"),
 ])
 def test_measurement_file_rejects_malformed_packets(tmp_path, defect, match):
-    indices, values = np.array([0, 2, 3]), np.array([1.5, -2.0, 0.25])
-    if defect in ("nan", "inf"):
-        values[1] = float(defect)
-    elif defect == "repeated":
-        indices[2] = 0
+    Y = np.full((4, 1), np.nan)
+    Y[[0, 2, 3], 0] = [1.5, -2.0, 0.25]
     path = tmp_path / "m.blpy"
-    save_measurements(path, [MeasurementPacket(indices=indices, values=values)], K=4)
-    if defect == "trailing":
-        load_measurements(path)
-        path.write_bytes(path.read_bytes() + b"\x00")
-    elif defect == "oversized":  # a packet header claiming 2^32 - 1 entries
-        path.write_bytes(path.read_bytes()[:12] + b"\xff\xff\xff\xff")
+    save_measurements(path, Y, K=4)
+    load_measurements(path, 4, 1)
+    data = bytearray(path.read_bytes())
+    # 12-byte file header, the packet's 4-byte entry count, then 12-byte
+    # (u4 row, f8 value) entries: entry 1 starts at byte 28
+    if defect in ("nan", "inf"):
+        data[32:40] = np.array([float(defect)], dtype="<f8").tobytes()
+    elif defect == "repeated":
+        data[40:44] = np.array([0], dtype="<u4").tobytes()  # entry 2 names row 0
+    elif defect == "trailing":
+        data += b"\x00"
+    else:  # a packet header claiming 2^32 - 1 entries
+        data = data[:12] + b"\xff\xff\xff\xff"
+    path.write_bytes(bytes(data))
     with pytest.raises(FormatError, match=match):
-        load_measurements(path)
+        load_measurements(path, 4, 1)

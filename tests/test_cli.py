@@ -8,7 +8,7 @@ import pytest
 import blpcs.cli as cli
 from blpcs.cipher import keygen, load_measurements, read_key_file, save_measurements
 from blpcs.errors import GuardError
-from blpcs.imaging import make_test_image, save_pgm
+from blpcs.imaging import columnwise_encode, make_test_image, save_pgm
 
 
 def test_keygen_writes_expected_file(tmp_path):
@@ -102,21 +102,63 @@ def _encode_64(tmp_path):
 
 def test_decode_rejects_missing_packet(tmp_path):
     key, meas = _encode_64(tmp_path)
-    packets, K = load_measurements(meas)
-    save_measurements(meas, packets[:-1], K)
+    k = read_key_file(key)
+    save_measurements(meas, load_measurements(meas, k.K, k.M)[:, :-1], k.K)
     rc = cli.main(["decode", "--key", str(key), "--in", str(meas),
                    "--out", str(tmp_path / "r.pgm")])
     assert rc == 3
 
 
-def test_decode_rejects_non_finite_measurement(tmp_path):
+def test_decode_rejects_non_finite_measurement(tmp_path, capsys):
     key, meas = _encode_64(tmp_path)
-    packets, K = load_measurements(meas)
-    packets[3].values[5] = float("nan")
-    save_measurements(meas, packets, K)
+    good = meas.read_bytes()
+    # 12-byte file header, packet 0's 4-byte entry count, then 12-byte
+    # (u4 row, f8 value) entries: overwrite entry 5's value
+    offset = 12 + 4 + 5 * 12 + 4
+    for value in (float("nan"), float("inf")):
+        data = bytearray(good)
+        data[offset:offset + 8] = np.array([value], dtype="<f8").tobytes()
+        meas.write_bytes(bytes(data))
+        out = tmp_path / "r.pgm"
+        capsys.readouterr()
+        rc = cli.main(["decode", "--key", str(key), "--in", str(meas), "--out", str(out)])
+        assert rc == 3 and not out.exists()
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("word, value, match", [
+    (1, 31, "measurement count 31 does not match K=32"),  # header K
+    (0, 63, "63 packets do not match 64 columns"),        # header packet count
+    (2, 2**32 - 1, "more than K"),                         # packet 0's entry count
+])
+def test_decode_rejects_a_file_of_another_shape(tmp_path, capsys, word, value, match):
+    key, meas = _encode_64(tmp_path)
+    data = bytearray(meas.read_bytes())
+    # the u4 words after the 4-byte magic: packet count, K, packet 0's count
+    data[4 + 4 * word:8 + 4 * word] = np.array([value], dtype="<u4").tobytes()
+    meas.write_bytes(bytes(data))
     out = tmp_path / "r.pgm"
+    capsys.readouterr()
     rc = cli.main(["decode", "--key", str(key), "--in", str(meas), "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
     assert rc == 3 and not out.exists()
+    assert len(err) == 1 and match in err[0]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_encode_rejects_a_non_finite_pixel(tmp_path, monkeypatch, value):
+    key = tmp_path / "k.key"
+    cli.main(["keygen", "--seed", "1", "--n", "16", "--sr", "0.5", "--out", str(key)])
+    image = make_test_image(16)
+    image[3, 4] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        columnwise_encode(read_key_file(key), image)
+    # the CLI's reader cannot yield such a pixel; stand one in for it
+    monkeypatch.setattr(cli, "load_pgm", lambda path: image)
+    out = tmp_path / "m.blpy"
+    rc = cli.main(["encode", "--key", str(key), "--in", str(tmp_path / "in.pgm"),
+                   "--out", str(out)])
+    assert rc == 2 and not out.exists()
 
 
 def test_malformed_inputs_exit_3(tmp_path):
@@ -255,8 +297,20 @@ def test_threads_env_parsing(monkeypatch):
     assert cli.max_workers() == 3
     monkeypatch.setenv("BLPCS_THREADS", "0")
     assert cli.max_workers() >= 1
-    monkeypatch.setenv("BLPCS_THREADS", "junk")
+    monkeypatch.delenv("BLPCS_THREADS")
     assert cli.max_workers() >= 1
+    for raw in ("junk", "-1", "2.5", ""):
+        monkeypatch.setenv("BLPCS_THREADS", raw)
+        with pytest.raises(ValueError, match="BLPCS_THREADS"):
+            cli.max_workers()
+
+
+def test_bad_threads_env_exits_2_without_output(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("BLPCS_THREADS", "two")
+    out = tmp_path / "a.csv"
+    assert cli.main(["attack", "--seeds", "1", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 def test_keygen_mix_count_is_checked_against_the_image_region(tmp_path, capsys):

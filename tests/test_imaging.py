@@ -132,11 +132,10 @@ def test_columnwise_encode_linearity():
     st = derive_stream(4, "x")
     X1 = st.gaussian((n, n))
     X2 = st.gaussian((n, n))
-    p1 = columnwise_encode(key, X1)
-    p2 = columnwise_encode(key, X2)
-    p12 = columnwise_encode(key, X1 + X2)
-    for a, b, c in zip(p1, p2, p12):
-        assert np.allclose(a.values + b.values, c.values, atol=1e-9)
+    Y1 = columnwise_encode(key, X1)
+    Y2 = columnwise_encode(key, X2)
+    assert Y1.shape == (key.K, n)
+    assert np.allclose(Y1 + Y2, columnwise_encode(key, X1 + X2), atol=1e-9)
 
 
 def test_columnwise_encode_matches_explicit_block_matrix():
@@ -149,14 +148,13 @@ def test_columnwise_encode_matches_explicit_block_matrix():
     P = np.eye(n * n)[spec.perm.map]
     full = np.kron(np.eye(n), key.sensing_matrix()) @ np.diag(spec.scale) @ P.T @ W
     img = make_test_image(n)
-    got = np.concatenate([p.values for p in columnwise_encode(key, img)])
+    got = columnwise_encode(key, img).flatten(order="F")
     assert np.allclose(got, full @ img.flatten(order="F"), atol=1e-8)
 
 
 def test_columnwise_decode_exactly_sparse_image():
     key, image = _sparse_test_setup()
-    pkts = columnwise_encode(key, image)
-    rec = columnwise_decode(key, pkts)
+    rec = columnwise_decode(key, columnwise_encode(key, image))
     assert np.linalg.norm(rec - image) < 1e-3 * np.linalg.norm(image)
 
 
@@ -203,28 +201,51 @@ def test_channel_models():
         ChannelModel(kind="fog")
     with pytest.raises(ValueError):
         ChannelModel(kind="packet_loss", plr=1.0)
+    for var in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match="noise_var"):
+            ChannelModel(kind="awgn", noise_var=var)
     key = keygen(7, 16, 0.5, 0.9, dmax=2)
-    pkts = columnwise_encode(key, make_test_image(16))
-    same = apply_channel(pkts, ChannelModel(kind="ideal"), derive_stream(7, "c"))
-    for a, b in zip(pkts, same):
-        assert np.array_equal(a.values, b.values)
+    Y = columnwise_encode(key, make_test_image(16))
+    Y[[1, 5], [0, 3]] = np.nan  # two measurements already lost
+    before = Y.copy()
+    same = apply_channel(Y, ChannelModel(kind="ideal"), derive_stream(7, "c"))
+    assert np.array_equal(same, Y, equal_nan=True) and same is not Y
+    for model in (ChannelModel(kind="awgn", noise_var=1.0),
+                  ChannelModel(kind="packet_loss", plr=0.5)):
+        out = apply_channel(Y, model, derive_stream(7, "c"))
+        assert np.array_equal(Y, before, equal_nan=True)  # the input is left unchanged
+        assert np.isnan(out[1, 0]) and np.isnan(out[5, 3])  # lost stays lost
+
+
+def test_channel_draws_follow_the_packet_order():
+    # one draw per received value, column by column with rows ascending: the
+    # same draws as taking each column's received rows in turn
+    Y = derive_stream(6, "y").gaussian((8, 5))
+    Y[[0, 3, 7], [1, 1, 4]] = np.nan
+    for model in (ChannelModel(kind="awgn", noise_var=2.0),
+                  ChannelModel(kind="packet_loss", plr=0.4)):
+        got = apply_channel(Y, model, derive_stream(6, "c"))
+        stream, want = derive_stream(6, "c"), Y.copy()
+        for j in range(Y.shape[1]):
+            rows = np.flatnonzero(~np.isnan(Y[:, j]))
+            if model.kind == "awgn":
+                want[rows, j] += stream.gaussian(rows.size) * np.sqrt(model.noise_var)
+            else:
+                want[rows[stream.uniform(rows.size) < model.plr], j] = np.nan
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_awgn_channel_noise_variance():
-    from blpcs.cipher import MeasurementPacket
-    pkts = [MeasurementPacket(indices=np.arange(10**5), values=np.zeros(10**5))]
-    noisy = apply_channel(pkts, ChannelModel(kind="awgn", noise_var=1.0),
+    noisy = apply_channel(np.zeros((10**5, 1)), ChannelModel(kind="awgn", noise_var=1.0),
                           derive_stream(8, "n"))
-    assert abs(noisy[0].values.var() - 1.0) < 0.02
-    assert abs(noisy[0].values.mean()) < 0.02
+    assert abs(noisy.var() - 1.0) < 0.02
+    assert abs(noisy.mean()) < 0.02
 
 
 def test_packet_loss_channel_survival_rate():
-    from blpcs.cipher import MeasurementPacket
-    pkts = [MeasurementPacket(indices=np.arange(10**5), values=np.ones(10**5))]
-    lost = apply_channel(pkts, ChannelModel(kind="packet_loss", plr=0.3),
+    lost = apply_channel(np.ones((10**5, 1)), ChannelModel(kind="packet_loss", plr=0.3),
                          derive_stream(9, "p"))
-    frac = lost[0].indices.size / 10**5
+    frac = np.count_nonzero(~np.isnan(lost)) / 10**5
     assert abs(frac - 0.7) < 0.01
 
 
@@ -232,26 +253,37 @@ def test_decode_with_packet_loss_stays_reasonable():
     n = 64
     key = keygen(10, n, 0.5, 0.99, 0.95, dmax=4)
     img = make_test_image(n)
-    pkts = columnwise_encode(key, img)
-    lossy = apply_channel(pkts, ChannelModel(kind="packet_loss", plr=0.2),
+    Y = columnwise_encode(key, img)
+    lossy = apply_channel(Y, ChannelModel(kind="packet_loss", plr=0.2),
                           derive_stream(10, "c"))
     rec = columnwise_decode(key, lossy)
     assert rec.shape == (n, n)
     assert psnr(img, rec) > 15.0
     # losing measurements cannot help
-    assert psnr(img, rec) <= psnr(img, columnwise_decode(key, pkts)) + 0.5
+    assert psnr(img, rec) <= psnr(img, columnwise_decode(key, Y)) + 0.5
 
 
 def test_image_side_must_match_key():
     key = keygen(11, 32, 0.5, 0.9, dmax=2)
     with pytest.raises(ValueError):
         columnwise_encode(key, make_test_image(16))
+    with pytest.raises(ValueError, match="shape"):
+        columnwise_decode(key, np.zeros((key.K, 16)))
+
+
+def test_encode_guards_against_overflow():
+    # finite pixels so large that the measurements overflow to inf and NaN
+    key = keygen(11, 16, 0.5, 0.9, dmax=2)
+    image = np.full((16, 16), 1e308)
+    image[::2] = -1e308
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(GuardError):
+        columnwise_encode(key, image)
 
 
 def test_decode_is_deterministic():
     # columns share no mutable state; repeated decodes are bit-identical
     key = keygen(12, 32, 0.5, 0.95, 0.9, dmax=4)
-    pkts = columnwise_encode(key, make_test_image(32))
-    a = columnwise_decode(key, pkts)
-    b = columnwise_decode(key, pkts)
+    Y = columnwise_encode(key, make_test_image(32))
+    a = columnwise_decode(key, Y)
+    b = columnwise_decode(key, Y)
     assert np.array_equal(a, b)

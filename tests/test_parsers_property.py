@@ -12,8 +12,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from blpcs.cipher import (MeasurementPacket, keygen, load_measurements,  # noqa: E402
-                          read_key_file, save_measurements, write_key_file)
+from blpcs.cipher import (keygen, load_measurements, read_key_file,  # noqa: E402
+                          save_measurements, write_key_file)
 from blpcs.errors import FormatError  # noqa: E402
 from blpcs.imaging import load_pgm, save_pgm  # noqa: E402
 
@@ -70,16 +70,15 @@ def keys(draw):
 
 
 @st.composite
-def packet_sets(draw):
-    K = draw(st.integers(1, 40))
+def measurement_arrays(draw):
+    """K x n measurements with NaN holes (measurements not received)."""
+    K, n = draw(st.integers(1, 40)), draw(st.integers(0, 4))
     values = st.floats(allow_nan=False, allow_infinity=False)
-    packets = []
-    for _ in range(draw(st.integers(0, 4))):
-        rows = draw(st.lists(st.integers(0, K - 1), unique=True, max_size=K))
-        packets.append(MeasurementPacket(
-            indices=np.array(rows, dtype=np.int64),
-            values=np.array([draw(values) for _ in rows], dtype=float)))
-    return packets, K
+    Y = np.array(draw(st.lists(values, min_size=K * n, max_size=K * n)),
+                 dtype=float).reshape(K, n)
+    Y[np.array(draw(st.lists(st.booleans(), min_size=K * n, max_size=K * n)),
+               dtype=bool).reshape(K, n)] = np.nan
+    return Y
 
 
 def _images(max_half_side=8):
@@ -106,26 +105,25 @@ def test_key_file_mutations_parse_or_reject(workdir, edits):
 
 
 @SETTINGS
-@given(case=packet_sets())
-def test_measurement_file_roundtrip_property(workdir, case):
-    packets, K = case
+@given(Y=measurement_arrays())
+def test_measurement_file_roundtrip_property(workdir, Y):
     path = workdir / "m.blpy"
-    save_measurements(path, packets, K)
-    loaded, K_read = load_measurements(path)
-    assert K_read == K and len(loaded) == len(packets)
-    for a, b in zip(packets, loaded):
-        assert np.array_equal(a.indices, b.indices)
-        assert np.array_equal(a.values, b.values)
+    save_measurements(path, Y, Y.shape[0])
+    assert np.array_equal(load_measurements(path, *Y.shape), Y, equal_nan=True)
 
 
 @SETTINGS
 @given(edits=EDITS)
 def test_measurement_file_mutations_parse_or_reject(workdir, edits):
     path = workdir / "m.blpy"
-    packets = [MeasurementPacket(indices=np.array([0, 2, 3]), values=np.array([1.5, -2.0, 0.25])),
-               MeasurementPacket(indices=np.array([1]), values=np.array([7.0]))]
-    save_measurements(path, packets, K=4)
-    _parses_or_rejects(load_measurements, path, _mutate(path.read_bytes(), edits))
+    Y = np.full((4, 2), np.nan)
+    Y[[0, 2, 3], 0] = [1.5, -2.0, 0.25]
+    Y[1, 1] = 7.0
+    save_measurements(path, Y, K=4)
+    loaded = _parses_or_rejects(lambda p: load_measurements(p, 4, 2), path,
+                                _mutate(path.read_bytes(), edits))
+    if loaded is not None:
+        assert loaded.shape == (4, 2) and not np.isinf(loaded).any()
 
 
 @SETTINGS

@@ -166,7 +166,7 @@ def _reference_problems(masked):
     yield A, Y, mask
     yield A, Y[:, [0]], None if mask is None else mask[:, [0]]
     key = keygen(3, 128, 0.3, 1.0)
-    Y = np.stack([p.values for p in columnwise_encode(key, make_test_image(128))], axis=1)
+    Y = columnwise_encode(key, make_test_image(128))
     mask = (s.uniform(Y.shape) >= 0.3).astype(float) if masked else None
     yield key.sensing_matrix(), Y, mask
 
