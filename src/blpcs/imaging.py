@@ -176,9 +176,9 @@ def acceptable_permutation_stats(X, trials, stream, ts=None):
 
 def _check_image(key, image):
     image = np.asarray(image, dtype=float)
-    n = image.shape[0]
-    if image.ndim != 2 or image.shape != (n, n) or n % 2 != 0:
+    if image.ndim != 2 or image.shape[0] != image.shape[1] or image.shape[0] % 2 != 0:
         raise ValueError("image must be square with even side")
+    n = image.shape[0]
     if n != key.M:
         raise ValueError(f"image side {n} does not match key M={key.M}")
     if not np.isfinite(image).all():

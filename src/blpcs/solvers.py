@@ -5,10 +5,11 @@ Three routes with different regimes and guarantees:
 * :func:`omp_recover` -- greedy orthogonal matching pursuit, the workhorse
   for exactly sparse synthetic signals (:func:`subspace_pursuit` refines a
   fixed-size support where a greedy pick goes wrong);
-* :func:`ista_bpdn` -- l1-regularized least squares by iterative soft
-  thresholding with lambda continuation, used for compressible signals such
-  as image columns (a batched variant solves many columns against one
-  matrix, optionally with per-column measurement masks);
+* :func:`ista_bpdn` -- l1-regularized least squares by monotone FISTA
+  (soft thresholding with Beck-Teboulle momentum, reset at each stage of a
+  lambda continuation), used for compressible signals such as image columns
+  (a batched variant solves many columns against one matrix, optionally
+  with per-column measurement masks);
 * :func:`l0_bruteforce` -- exhaustive support search, the desk-scale oracle
   the other solvers are verified against.
 
@@ -19,7 +20,7 @@ each caller then applies its own basis to the coefficients.
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, sqrt
 
 import numpy as np
 
@@ -38,7 +39,7 @@ __all__ = [
 
 
 # relative residual at which the pursuits stop, and the default relative
-# objective change at which an ISTA stage stops
+# objective change at which a continuation stage of ista_bpdn stops
 _RESIDUAL_TOL = 1e-10
 # support refinement rounds of subspace pursuit
 _REFINE_ITERS = 30
@@ -46,10 +47,10 @@ _REFINE_ITERS = 30
 
 @dataclass
 class SolverConfig:
-    """Settings of the iterative soft-thresholding solvers (:func:`ista_bpdn`,
+    """Settings of the soft-thresholding solvers (:func:`ista_bpdn`,
     :func:`ista_bpdn_batch`)."""
 
-    max_iters: int = 400
+    max_iters: int = 160
     residual_tol: float = _RESIDUAL_TOL
     lam: float = 1e-3          # relative lambda floor, scaled by ||A^T y||_inf
     continuation: bool = True  # sweep lambda from 0.1 down to the floor
@@ -84,8 +85,8 @@ def _spectral_norm_sq(A):
         if nw == 0:
             return 0.0
         v = w / nw
-    # 1% headroom so the 1/L step stays a descent step even if the
-    # iteration has not fully converged
+    # 1% headroom so that 1/L stays a valid step even if the iteration has
+    # not fully converged
     return float(np.linalg.norm(A @ v) ** 2) * 1.01
 
 
@@ -170,7 +171,7 @@ def subspace_pursuit(A, y, k):
 
 
 # ---------------------------------------------------------------------------
-# iterative soft-thresholding for basis-pursuit denoising
+# monotone FISTA for basis-pursuit denoising
 
 _LAM_HI = 0.1
 _STAGES = 8
@@ -196,11 +197,20 @@ def ista_bpdn_batch(A, Y, config=None, mask=None, obj_trace=None, stop_trace=Non
     rows take no part in the fit, which is exactly the subsetted-rows
     problem of packet-loss decoding.  Returns the estimate matrix.
 
+    The iteration is monotone FISTA (Beck & Teboulle, SIAM J. Imaging Sci.
+    2009) with step 1/L: each soft-threshold step starts from the momentum
+    point S + beta (S - S_old), and the momentum restarts (t = 1) at each
+    continuation stage.  A step that raises the composite objective (summed
+    over columns) is rejected: the iterate stays and the momentum restarts.
+    So the objective is non-increasing within each stage from its first
+    step on.  The residual of the momentum point is the same combination
+    of the residuals of S and S_old, so a step costs two matrix products.
+
     At most ``config.max_iters`` iterations run, split evenly over the
-    continuation stages.  When ``obj_trace`` is a list, the composite
-    objective (summed over columns) is appended after every iteration; when
+    continuation stages.  When ``obj_trace`` is a list, the objective of the
+    kept iterate is appended after every iteration, rejected or not; when
     ``stop_trace`` is a list, one flag per stage is appended, true when that
-    stage's stopping test fired.
+    stage's stopping test fired.  Only an accepted step runs that test.
     """
     config = config or SolverConfig()
     A = np.asarray(A, dtype=float)
@@ -226,8 +236,13 @@ def ista_bpdn_batch(A, Y, config=None, mask=None, obj_trace=None, stop_trace=Non
     else:
         lam_lo = np.full(ncol, config.lam)
         stages = 1
+    # S, RS: the kept iterate and its (masked) residual Y - A S; S_old, RS_old:
+    # the kept iterate before it, the other end of the momentum step (after a
+    # rejected step they hold the rejected one, which beta = 0 leaves out)
     S = np.zeros((M, ncol))
-    R = Y.copy()  # the residual of S = 0; Y is already masked
+    RS = Y.copy()  # Y is already masked
+    S_old = np.zeros((M, ncol))
+    RS_old = Y.copy()
     # work buffers, so that the iteration allocates nothing of matrix size
     Z = np.empty((M, ncol))
     C = np.empty((M, ncol))
@@ -239,25 +254,44 @@ def ista_bpdn_batch(A, Y, config=None, mask=None, obj_trace=None, stop_trace=Non
         w = lam * corr
         th = w / L
         neg_th = -th
+        t, beta = 1.0, 0.0
         prev_obj = None
         stopped = False
         for _ in range(per_stage):
-            # gradient step Z = S + A^T R / L
-            np.matmul(A.T, R, out=Z)
+            # gradient step from V = S + beta (S - S_old):
+            # Z = V + A^T R_V / L, with R_V = RS + beta (RS - RS_old) the residual at V
+            np.subtract(RS, RS_old, out=AS)
+            AS *= beta
+            AS += RS
+            np.matmul(A.T, AS, out=Z)
             Z /= L
-            Z += S
-            # soft threshold as z - clip(z, -th, th): equal to
-            # sign(z) * max(|z| - th, 0) bit for bit except for the sign of zeros
+            np.subtract(S, S_old, out=C)
+            C *= beta
+            C += S
+            Z += C
+            # the candidate goes into the S_old, RS_old buffers.  Soft threshold
+            # as z - clip(z, -th, th): equal to sign(z) * max(|z| - th, 0) bit
+            # for bit except for the sign of zeros
             np.maximum(Z, neg_th, out=C)
             np.minimum(C, th, out=C)
-            np.subtract(Z, C, out=S)
-            np.matmul(A, S, out=AS)
-            np.subtract(Y, AS, out=R)
+            np.subtract(Z, C, out=S_old)
+            np.matmul(A, S_old, out=AS)
+            np.subtract(Y, AS, out=RS_old)
             if mask is not None:
-                R *= mask
-            np.multiply(R, R, out=AS)
-            np.abs(S, out=C)
+                RS_old *= mask
+            np.multiply(RS_old, RS_old, out=AS)
+            np.abs(S_old, out=C)
             obj = 0.5 * np.sum(AS) + np.sum(w * C.sum(axis=0))
+            if prev_obj is not None and obj > prev_obj:
+                # reject: S and RS stay, and the next step restarts without momentum
+                t, beta = 1.0, 0.0
+                if obj_trace is not None:
+                    obj_trace.append(float(prev_obj))
+                continue
+            S, S_old = S_old, S
+            RS, RS_old = RS_old, RS
+            t_next = (1.0 + sqrt(1.0 + 4.0 * t * t)) / 2.0
+            t, beta = t_next, (t - 1.0) / t_next
             if obj_trace is not None:
                 obj_trace.append(float(obj))
             if prev_obj is not None and abs(prev_obj - obj) <= config.residual_tol * max(prev_obj, 1.0):
@@ -283,12 +317,13 @@ def ista_bpdn_batch(A, Y, config=None, mask=None, obj_trace=None, stop_trace=Non
 
 
 def ista_bpdn(A, y, config=None, obj_trace=None):
-    """Single-vector iterative-shrinkage solve; see :func:`ista_bpdn_batch`.
+    """Single-vector monotone FISTA solve; see :func:`ista_bpdn_batch`.
 
     The composite objective is non-increasing within each continuation
-    stage (step size 1/L with L from power iteration guarantees descent).
-    The report counts the iterations that ran, and it is converged only
-    when the stopping test of the last continuation stage fired.
+    stage: a momentum step that would raise it is rejected and the momentum
+    restarts.  The report counts the iterations that ran, rejected steps
+    included, and it is converged only when the stopping test of the last
+    continuation stage fired.
     """
     config = config or SolverConfig()
     A = np.asarray(A, dtype=float)

@@ -271,6 +271,13 @@ def test_image_side_must_match_key():
         columnwise_decode(key, np.zeros((key.K, 16)))
 
 
+def test_encode_rejects_an_image_that_is_not_2d():
+    key = keygen(11, 16, 0.5, 0.9, dmax=2)
+    for image in (np.float64(3.0), np.zeros((16, 16, 3)), np.zeros(16)):
+        with pytest.raises(ValueError, match="square"):
+            columnwise_encode(key, image)
+
+
 def test_encode_guards_against_overflow():
     # finite pixels so large that the measurements overflow to inf and NaN
     key = keygen(11, 16, 0.5, 0.9, dmax=2)

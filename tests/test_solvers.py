@@ -111,10 +111,12 @@ def test_ista_batch_matches_single():
         assert np.allclose(S[:, j], rep.estimate)
 
 
-def _ista_two_residual_reference(A, Y, config, mask, obj_trace):
-    """The batched ISTA loop as first written, without debias: it computes
-    the residual before and after every soft-threshold step, and soft
-    thresholds as sign(z) * max(|z| - th, 0)."""
+def _monotone_fista_reference(A, Y, config, mask, obj_trace):
+    """The batched monotone FISTA loop written plainly, without debias and
+    with fresh arrays each step.  It keeps two residuals, those of the last
+    two kept iterates, and forms the momentum point V and its residual R_V
+    from them; it soft thresholds as sign(z) * max(|z| - th, 0); a step that
+    raises the summed objective is thrown away, and so is the momentum."""
     K, M = A.shape
     ncol = Y.shape[1]
     L = _spectral_norm_sq(A)
@@ -131,23 +133,31 @@ def _ista_two_residual_reference(A, Y, config, mask, obj_trace):
     else:
         lam_lo = np.full(ncol, config.lam)
         stages = 1
-    S = np.zeros((M, ncol))
+    S = S_old = np.zeros((M, ncol))
+    R = R_old = Y.copy()
     per_stage = max(1, config.max_iters // stages)
     for st in range(stages):
         frac = st / (stages - 1) if stages > 1 else 1.0
         lam = _LAM_HI * (lam_lo / _LAM_HI) ** frac if stages > 1 else lam_lo
         th = (lam * corr) / L
+        t, beta = 1.0, 0.0
         prev_obj = None
         for _ in range(per_stage):
-            R = Y - A @ S
+            V = S + beta * (S - S_old)
+            R_V = R + beta * (R - R_old)
+            Z = V + (A.T @ R_V) / L
+            S_new = np.sign(Z) * np.maximum(np.abs(Z) - th[None, :], 0.0)
+            R_new = Y - A @ S_new
             if mask is not None:
-                R *= mask
-            Z = S + (A.T @ R) / L
-            S = np.sign(Z) * np.maximum(np.abs(Z) - th[None, :], 0.0)
-            Rn = Y - A @ S
-            if mask is not None:
-                Rn *= mask
-            obj = 0.5 * np.sum(Rn * Rn) + np.sum(lam * corr * np.abs(S).sum(axis=0))
+                R_new *= mask
+            obj = 0.5 * np.sum(R_new * R_new) + np.sum(lam * corr * np.abs(S_new).sum(axis=0))
+            if prev_obj is not None and obj > prev_obj:
+                t, beta = 1.0, 0.0
+                obj_trace.append(float(prev_obj))
+                continue
+            S_old, S, R_old, R = S, S_new, R, R_new
+            t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+            t, beta = t_next, (t - 1.0) / t_next
             obj_trace.append(float(obj))
             if prev_obj is not None and abs(prev_obj - obj) <= config.residual_tol * max(prev_obj, 1.0):
                 break
@@ -178,7 +188,7 @@ def _reference_problems(masked):
 def test_ista_batch_matches_two_residual_reference(masked, cfg):
     for A, Y, mask in _reference_problems(masked):
         want_trace, got_trace = [], []
-        want = _ista_two_residual_reference(A, Y, cfg, mask=mask, obj_trace=want_trace)
+        want = _monotone_fista_reference(A, Y, cfg, mask=mask, obj_trace=want_trace)
         got = ista_bpdn_batch(A, Y, cfg, mask=mask, obj_trace=got_trace)
         assert np.array_equal(got, want)
         assert got_trace == want_trace
@@ -197,7 +207,34 @@ def test_ista_report_counts_executed_iterations():
     # a loose tolerance lets the last stage's stopping test fire early
     trace = []
     rep = ista_bpdn(A, y, SolverConfig(residual_tol=1e-3), obj_trace=trace)
-    assert rep.converged and rep.iterations == len(trace) < 400
+    assert rep.converged and rep.iterations == len(trace) < SolverConfig().max_iters
+
+
+def test_ista_rejected_step_keeps_the_iterate_and_does_not_stop():
+    # a momentum step that would raise the objective is thrown away: the
+    # trace repeats the kept objective, the estimate is that of one step
+    # fewer, and the equal objective does not count as convergence
+    s = derive_stream(8, "rej")
+    A = s.gaussian((20, 50))
+    y = s.gaussian(20)
+
+    def run(iters):
+        trace, stops = [], []
+        cfg = SolverConfig(max_iters=iters, lam=0.01, continuation=False,
+                           debias=False, residual_tol=1e-16)
+        S = ista_bpdn_batch(A, y[:, None], cfg, obj_trace=trace, stop_trace=stops)
+        return S, trace, stops
+
+    _, trace, _ = run(200)
+    rejected = [i for i in range(1, len(trace)) if trace[i] == trace[i - 1]]
+    assert rejected, "no step of this problem was rejected"
+    i = rejected[0]
+    S_before, _, _ = run(i)
+    S_after, trace, stops = run(i + 1)
+    assert np.array_equal(S_after, S_before)
+    assert trace[i] == trace[i - 1] and stops == [False]
+    _, trace, stops = run(i + 2)
+    assert len(trace) == i + 2 and stops == [False]
 
 
 def test_ista_batch_mask_equals_row_subset():
