@@ -9,7 +9,9 @@ Three routes with different regimes and guarantees:
   (soft thresholding with Beck-Teboulle momentum, reset at each stage of a
   lambda continuation), used for compressible signals such as image columns
   (a batched variant solves many columns against one matrix, optionally
-  with per-column measurement masks);
+  with per-column measurement masks; it iterates in float32 when given
+  float32 inputs and in float64 otherwise, and :func:`debias` refits its
+  estimate by least squares on each column's support);
 * :func:`l0_bruteforce` -- exhaustive support search, the desk-scale oracle
   the other solvers are verified against.
 
@@ -33,6 +35,7 @@ __all__ = [
     "subspace_pursuit",
     "ista_bpdn",
     "ista_bpdn_batch",
+    "debias",
     "l0_bruteforce",
     "two_step_decode",
 ]
@@ -197,6 +200,12 @@ def ista_bpdn_batch(A, Y, config=None, mask=None, obj_trace=None, stop_trace=Non
     rows take no part in the fit, which is exactly the subsetted-rows
     problem of packet-loss decoding.  Returns the estimate matrix.
 
+    The iteration runs in the floating dtype of the inputs,
+    ``np.result_type(A, Y, np.float32)``: float32 ``A`` and ``Y`` give
+    float32 iterates, work buffers and result; float64 or integer inputs
+    give float64.  Lambda, the per-column weights, the step 1/L and the
+    summed objectives are float64 either way.
+
     The iteration is monotone FISTA (Beck & Teboulle, SIAM J. Imaging Sci.
     2009) with step 1/L: each soft-threshold step starts from the momentum
     point S + beta (S - S_old), and the momentum restarts (t = 1) at each
@@ -211,24 +220,28 @@ def ista_bpdn_batch(A, Y, config=None, mask=None, obj_trace=None, stop_trace=Non
     kept iterate is appended after every iteration, rejected or not; when
     ``stop_trace`` is a list, one flag per stage is appended, true when that
     stage's stopping test fired.  Only an accepted step runs that test.
+    With ``config.debias`` the result is refit by :func:`debias`.
     """
     config = config or SolverConfig()
-    A = np.asarray(A, dtype=float)
-    Y = np.asarray(Y, dtype=float)
+    A = np.asarray(A)
+    Y = np.asarray(Y)
+    dtype = np.result_type(A, Y, np.float32)
+    A = A.astype(dtype, copy=False)
+    Y = Y.astype(dtype, copy=False)
     if Y.ndim != 2 or Y.shape[0] != A.shape[0]:
         raise ValueError("Y must be K x n with K = rows(A)")
     K, M = A.shape
     ncol = Y.shape[1]
     L = _spectral_norm_sq(A)
     if L == 0.0:
-        return np.zeros((M, ncol))
+        return np.zeros((M, ncol), dtype)
     if mask is not None:
-        mask = np.asarray(mask, dtype=float)
+        mask = np.asarray(mask, dtype=dtype)
         Y = Y * mask
-        rows = mask.sum(axis=0)
+        rows = mask.sum(axis=0, dtype=float)
     else:
         rows = np.full(ncol, float(K))
-    corr = np.abs(A.T @ Y).max(axis=0)
+    corr = np.abs(A.T @ Y).max(axis=0).astype(float)
     corr[corr == 0] = 1.0
     if config.continuation:
         lam_lo = np.array([_lam_floor(r / M, config.lam) for r in rows])
@@ -239,20 +252,20 @@ def ista_bpdn_batch(A, Y, config=None, mask=None, obj_trace=None, stop_trace=Non
     # S, RS: the kept iterate and its (masked) residual Y - A S; S_old, RS_old:
     # the kept iterate before it, the other end of the momentum step (after a
     # rejected step they hold the rejected one, which beta = 0 leaves out)
-    S = np.zeros((M, ncol))
+    S = np.zeros((M, ncol), dtype)
     RS = Y.copy()  # Y is already masked
-    S_old = np.zeros((M, ncol))
+    S_old = np.zeros((M, ncol), dtype)
     RS_old = Y.copy()
     # work buffers, so that the iteration allocates nothing of matrix size
-    Z = np.empty((M, ncol))
-    C = np.empty((M, ncol))
-    AS = np.empty((K, ncol))
+    Z = np.empty((M, ncol), dtype)
+    C = np.empty((M, ncol), dtype)
+    AS = np.empty((K, ncol), dtype)
     per_stage = config.max_iters // stages
     for st in range(stages):
         frac = st / (stages - 1) if stages > 1 else 1.0
         lam = _LAM_HI * (lam_lo / _LAM_HI) ** frac if stages > 1 else lam_lo
         w = lam * corr
-        th = w / L
+        th = (w / L).astype(dtype)
         neg_th = -th
         t, beta = 1.0, 0.0
         prev_obj = None
@@ -260,15 +273,20 @@ def ista_bpdn_batch(A, Y, config=None, mask=None, obj_trace=None, stop_trace=Non
         for _ in range(per_stage):
             # gradient step from V = S + beta (S - S_old):
             # Z = V + A^T R_V / L, with R_V = RS + beta (RS - RS_old) the residual at V
-            np.subtract(RS, RS_old, out=AS)
-            AS *= beta
-            AS += RS
-            np.matmul(A.T, AS, out=Z)
-            Z /= L
-            np.subtract(S, S_old, out=C)
-            C *= beta
-            C += S
-            Z += C
+            if beta == 0.0:
+                np.matmul(A.T, RS, out=Z)
+                Z /= L
+                Z += S
+            else:
+                np.subtract(RS, RS_old, out=AS)
+                AS *= beta
+                AS += RS
+                np.matmul(A.T, AS, out=Z)
+                Z /= L
+                np.subtract(S, S_old, out=C)
+                C *= beta
+                C += S
+                Z += C
             # the candidate goes into the S_old, RS_old buffers.  Soft threshold
             # as z - clip(z, -th, th): equal to sign(z) * max(|z| - th, 0) bit
             # for bit except for the sign of zeros
@@ -281,7 +299,7 @@ def ista_bpdn_batch(A, Y, config=None, mask=None, obj_trace=None, stop_trace=Non
                 RS_old *= mask
             np.multiply(RS_old, RS_old, out=AS)
             np.abs(S_old, out=C)
-            obj = 0.5 * np.sum(AS) + np.sum(w * C.sum(axis=0))
+            obj = 0.5 * np.sum(AS, dtype=float) + np.sum(w * C.sum(axis=0, dtype=float))
             if prev_obj is not None and obj > prev_obj:
                 # reject: S and RS stay, and the next step restarts without momentum
                 t, beta = 1.0, 0.0
@@ -301,18 +319,32 @@ def ista_bpdn_batch(A, Y, config=None, mask=None, obj_trace=None, stop_trace=Non
         if stop_trace is not None:
             stop_trace.append(stopped)
     if config.debias:
-        for j in range(ncol):
-            sup = np.flatnonzero(S[:, j])
-            if sup.size == 0 or sup.size > 0.5 * rows[j]:
-                continue
-            if mask is None:
-                Aj, yj = A[:, sup], Y[:, j]
-            else:
-                live = mask[:, j] > 0
-                Aj, yj = A[np.ix_(np.flatnonzero(live), sup)], Y[live, j]
-            sol, *_ = np.linalg.lstsq(Aj, yj, rcond=None)
-            S[:, j] = 0.0
-            S[sup, j] = sol
+        debias(A, Y, S, mask)
+    return S
+
+
+def debias(A, Y, S, mask=None):
+    """Least-squares refit of each column of S on its own support, in place.
+
+    Column j of S is replaced by the least-squares fit of ``Y[:, j]`` on the
+    columns of A that its nonzeros select, using only the rows where
+    ``mask`` (0/1, same shape as Y) is set.  A column with an empty support,
+    or a support larger than half its surviving rows, is left as it is.
+    The fit runs in the dtype of A and Y and is stored in the dtype of S.
+    Returns S.
+    """
+    A = np.asarray(A)
+    Y = np.asarray(Y)
+    if mask is not None:
+        mask = np.asarray(mask)
+    for j in range(S.shape[1]):
+        sup = np.flatnonzero(S[:, j])
+        live = np.arange(A.shape[0]) if mask is None else np.flatnonzero(mask[:, j])
+        if sup.size == 0 or sup.size > 0.5 * live.size:
+            continue
+        sol, *_ = np.linalg.lstsq(A[np.ix_(live, sup)], Y[live, j], rcond=None)
+        S[:, j] = 0.0
+        S[sup, j] = sol
     return S
 
 

@@ -1,14 +1,20 @@
 """Solver behavior against closed forms and the exhaustive oracle."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import blpcs
 from blpcs.cipher import keygen
 from blpcs.errors import GuardError
-from blpcs.imaging import columnwise_encode, make_test_image
+from blpcs.imaging import ChannelModel, apply_channel, columnwise_encode, make_test_image
 from blpcs.keyrand import derive_stream
 from blpcs.solvers import (_LAM_HI, _STAGES, SolverConfig, _lam_floor, _spectral_norm_sq,
-                           ista_bpdn, ista_bpdn_batch, l0_bruteforce, omp_recover,
+                           debias, ista_bpdn, ista_bpdn_batch, l0_bruteforce, omp_recover,
                            subspace_pursuit, two_step_decode)
 
 
@@ -99,6 +105,87 @@ def test_ista_objective_monotone():
     trace = np.array(trace)
     assert len(trace) > 10
     assert np.all(np.diff(trace) <= 1e-10 * trace[0])
+
+
+def test_ista_batch_objective_monotone_in_float32():
+    # the float32 loop sums its objective in float64 and rejects by it, so
+    # the kept objective is non-increasing exactly as in float64
+    s = derive_stream(5, "m")
+    A = s.gaussian((30, 80)).astype(np.float32)
+    y = s.gaussian(30).astype(np.float32)
+    trace = []
+    cfg = SolverConfig(max_iters=200, lam=0.05, continuation=False,
+                       debias=False, residual_tol=1e-16)
+    ista_bpdn_batch(A, y[:, None], cfg, obj_trace=trace)
+    trace = np.array(trace)
+    assert len(trace) > 10
+    assert np.all(np.diff(trace) <= 1e-10 * trace[0])
+
+
+@pytest.mark.parametrize("debiased", [False, True])
+def test_ista_batch_dtype_follows_inputs(debiased):
+    s = derive_stream(14, "dtype")
+    A = s.gaussian((20, 50))
+    Y = s.gaussian((20, 3))
+    cfg = SolverConfig(debias=debiased)
+    assert ista_bpdn_batch(A.astype(np.float32), Y.astype(np.float32), cfg).dtype == np.float32
+    assert ista_bpdn_batch(A, Y, cfg).dtype == np.float64
+    assert ista_bpdn_batch(A, Y.astype(np.float32), cfg).dtype == np.float64
+    A_int = np.round(10 * A).astype(np.int64)
+    Y_int = np.round(10 * Y).astype(np.int64)
+    got = ista_bpdn_batch(A_int, Y_int, cfg)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, ista_bpdn_batch(A_int.astype(float), Y_int.astype(float), cfg))
+
+
+@pytest.mark.parametrize("plr", [0.0, 0.3])
+@pytest.mark.parametrize("sr", [0.3, 0.7])
+def test_ista_batch_float32_agrees_with_float64_on_a_keyed_image(sr, plr):
+    # the float32 loop of the image decode against the float64 one, before
+    # and after the float64 refit that columnwise_decode runs
+    key = keygen(3, 128, sr, 1.0)
+    A = key.sensing_matrix()
+    Y = columnwise_encode(key, make_test_image(128))
+    mask = None
+    if plr:
+        Y = apply_channel(Y, ChannelModel("packet_loss", plr=plr), derive_stream(4, "loss"))
+        mask = ~np.isnan(Y)
+        Y = np.where(mask, Y, 0.0)
+    cfg = SolverConfig(debias=False)
+    S32 = ista_bpdn_batch(A.astype(np.float32), Y.astype(np.float32), cfg, mask)
+    S64 = ista_bpdn_batch(A, Y, cfg, mask)
+    assert S32.dtype == np.float32
+    assert np.linalg.norm(S32 - S64) < 1e-5 * np.linalg.norm(S64)
+    refit = debias(A, Y, S32.astype(float), mask)
+    want = ista_bpdn_batch(A, Y, mask=mask)
+    assert np.linalg.norm(refit - want) < 1e-5 * np.linalg.norm(want)
+
+
+_FLOAT32_SOLVE = """
+import hashlib
+import numpy as np
+from blpcs.keyrand import derive_stream
+from blpcs.solvers import SolverConfig, ista_bpdn_batch
+s = derive_stream(21, "threads")
+A = s.gaussian((154, 512)).astype(np.float32)
+Y = s.gaussian((154, 512)).astype(np.float32)
+S = ista_bpdn_batch(A, Y, SolverConfig(debias=False))
+print(S.dtype, hashlib.sha256(S.tobytes()).hexdigest())
+"""
+
+
+def test_float32_solve_bytes_do_not_depend_on_blas_threads():
+    # OpenBLAS reads its thread count once, at load, so each count needs
+    # its own process
+    src = str(Path(blpcs.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", _FLOAT32_SOLVE], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        digests.append(done.stdout.split())
+    assert digests[0][0] == "float32"
+    assert digests[0] == digests[1]
 
 
 def test_ista_batch_matches_single():
