@@ -87,7 +87,7 @@ def run_fig1(seed, trials=100):
         A = Phi / d[None, :]
         xbar = two_step_decode(A, y).estimate / d
         two_step = _rel_error(xbar, x)
-        direct = _rel_error(ista_bpdn(Phi, y).estimate, x)
+        direct = _rel_error(ista_bpdn(Phi, y), x)
         rows.append((t, f"{two_step:.6e}", f"{direct:.6e}"))
     return ["trial", "two_step_rel_error", "direct_l1_rel_error"], rows
 

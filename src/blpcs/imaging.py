@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import FormatError, GuardError
 from .keyrand import derive_stream
-from .solvers import SolverConfig, debias, ista_bpdn_batch
+from .solvers import debias, ista_bpdn_batch
 
 __all__ = [
     "ChannelModel",
@@ -210,10 +210,10 @@ def columnwise_decode(key, Y, scramble=True):
     Columns are independent given the shared sensing matrix; a column with
     NaN entries (measurements not received) is solved against its received
     rows only.  The sparse solve runs float32 iterations and a float64
-    refit: the FISTA loop of :func:`~blpcs.solvers.ista_bpdn_batch` on
-    float32 copies of the sensing matrix and measurements, then
-    :func:`~blpcs.solvers.debias` against the float64 ones.  The result is
-    clamped to [0, 255].
+    refit: :func:`~blpcs.solvers.ista_bpdn_batch` (the fixed FISTA
+    schedule, no refit) on float32 copies of the sensing matrix and
+    measurements, then :func:`~blpcs.solvers.debias` against the float64
+    ones.  The result is clamped to [0, 255].
     """
     Y = np.asarray(Y, dtype=float)
     if Y.shape != (key.K, key.M):
@@ -230,8 +230,7 @@ def columnwise_decode(key, Y, scramble=True):
     else:
         # the output is rounded to 8-bit pixels, far coarser than the float32
         # rounding of the iterations; the refit on the support stays float64
-        S = ista_bpdn_batch(A.astype(np.float32), Y.astype(np.float32),
-                            SolverConfig(debias=False), mask)
+        S = ista_bpdn_batch(A.astype(np.float32), Y.astype(np.float32), mask)
         Shat = debias(A, Y, S.astype(float), mask)
     _, inverse = key.basis(two_d=True, scramble=scramble)
     n = key.M

@@ -5,13 +5,14 @@ Three routes with different regimes and guarantees:
 * :func:`omp_recover` -- greedy orthogonal matching pursuit, the workhorse
   for exactly sparse synthetic signals (:func:`subspace_pursuit` refines a
   fixed-size support where a greedy pick goes wrong);
-* :func:`ista_bpdn` -- l1-regularized least squares by monotone FISTA
+* :func:`ista_bpdn_batch` -- l1-regularized least squares by monotone FISTA
   (soft thresholding with Beck-Teboulle momentum, reset at each stage of a
-  lambda continuation), used for compressible signals such as image columns
-  (a batched variant solves many columns against one matrix, optionally
-  with per-column measurement masks; it iterates in float32 when given
-  float32 inputs and in float64 otherwise, and :func:`debias` refits its
-  estimate by least squares on each column's support);
+  fixed lambda continuation), used for compressible signals such as image
+  columns: many columns against one matrix, optionally with per-column
+  measurement masks, in float32 when given float32 inputs and in float64
+  otherwise; :func:`debias` refits its estimate by least squares on each
+  column's support, and :func:`ista_bpdn` is the float64 single-vector
+  solve with that refit;
 * :func:`l0_bruteforce` -- exhaustive support search, the desk-scale oracle
   the other solvers are verified against.
 
@@ -29,7 +30,6 @@ import numpy as np
 from .errors import GuardError
 
 __all__ = [
-    "SolverConfig",
     "RecoveryReport",
     "omp_recover",
     "subspace_pursuit",
@@ -41,29 +41,11 @@ __all__ = [
 ]
 
 
-# relative residual at which the pursuits stop, and the default relative
-# objective change at which a continuation stage of ista_bpdn stops
+# relative residual at which the pursuits stop, and the relative objective
+# change at which a continuation stage of ista_bpdn_batch stops
 _RESIDUAL_TOL = 1e-10
 # support refinement rounds of subspace pursuit
 _REFINE_ITERS = 30
-
-
-@dataclass
-class SolverConfig:
-    """Settings of the soft-thresholding solvers (:func:`ista_bpdn`,
-    :func:`ista_bpdn_batch`)."""
-
-    max_iters: int = 160
-    residual_tol: float = _RESIDUAL_TOL
-    lam: float = 1e-3          # relative lambda floor, scaled by ||A^T y||_inf
-    continuation: bool = True  # sweep lambda from 0.1 down to the floor
-    debias: bool = True        # least-squares refit on the final support
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.residual_tol <= 0:
-            raise ValueError("residual_tol must be positive")
 
 
 @dataclass
@@ -176,29 +158,34 @@ def subspace_pursuit(A, y, k):
 # ---------------------------------------------------------------------------
 # monotone FISTA for basis-pursuit denoising
 
+# the continuation schedule of ista_bpdn_batch: relative lambda from _LAM_HI
+# down to a floor of at least _LAM_LO, over _STAGES stages of _STAGE_ITERS
 _LAM_HI = 0.1
+_LAM_LO = 1e-3
 _STAGES = 8
+_STAGE_ITERS = 20
 
 
-def _lam_floor(ratio, requested):
+def _lam_floor(ratio):
     """Continuation floor adapted to the sampling ratio rows/cols.
 
     Heavily undersampled columns need a stronger l1 weight: driving lambda
     toward zero makes the iteration chase an equality solution that no
     longer matches the signal once the measurement count falls below the
-    recovery threshold.  The floor never goes below the requested value.
+    recovery threshold.  The floor never goes below ``_LAM_LO``.
     """
     adaptive = 10.0 ** (-1.0 - 3.45 * max(0.0, ratio - 0.12))
-    return float(min(_LAM_HI, max(adaptive, requested)))
+    return float(min(_LAM_HI, max(adaptive, _LAM_LO)))
 
 
-def ista_bpdn_batch(A, Y, config=None, mask=None, obj_trace=None, stop_trace=None):
+def ista_bpdn_batch(A, Y, mask=None, *, obj_trace=None):
     """Solve min 0.5||y - A s||^2 + lambda ||s||_1 for every column of Y.
 
     All columns share A, so the iteration runs as dense matrix products.
     ``mask`` (0/1, same shape as Y) marks surviving measurements; masked-out
     rows take no part in the fit, which is exactly the subsetted-rows
-    problem of packet-loss decoding.  Returns the estimate matrix.
+    problem of packet-loss decoding.  Returns the estimate matrix, without
+    a refit: :func:`debias` is the least-squares refit on the support.
 
     The iteration runs in the floating dtype of the inputs,
     ``np.result_type(A, Y, np.float32)``: float32 ``A`` and ``Y`` give
@@ -215,14 +202,13 @@ def ista_bpdn_batch(A, Y, config=None, mask=None, obj_trace=None, stop_trace=Non
     step on.  The residual of the momentum point is the same combination
     of the residuals of S and S_old, so a step costs two matrix products.
 
-    At most ``config.max_iters`` iterations run, split evenly over the
-    continuation stages.  When ``obj_trace`` is a list, the objective of the
-    kept iterate is appended after every iteration, rejected or not; when
-    ``stop_trace`` is a list, one flag per stage is appended, true when that
-    stage's stopping test fired.  Only an accepted step runs that test.
-    With ``config.debias`` the result is refit by :func:`debias`.
+    The schedule is fixed: 8 continuation stages of 20 iterations, lambda
+    falling geometrically from 0.1 to the floor of :func:`_lam_floor`
+    (both relative to each column's ||A^T y||_inf).  An accepted step whose
+    relative objective change is at most 1e-10 ends its stage early.  When
+    ``obj_trace`` is a list, the objective of the kept iterate is appended
+    after every iteration, rejected or not.
     """
-    config = config or SolverConfig()
     A = np.asarray(A)
     Y = np.asarray(Y)
     dtype = np.result_type(A, Y, np.float32)
@@ -243,12 +229,7 @@ def ista_bpdn_batch(A, Y, config=None, mask=None, obj_trace=None, stop_trace=Non
         rows = np.full(ncol, float(K))
     corr = np.abs(A.T @ Y).max(axis=0).astype(float)
     corr[corr == 0] = 1.0
-    if config.continuation:
-        lam_lo = np.array([_lam_floor(r / M, config.lam) for r in rows])
-        stages = min(_STAGES, config.max_iters)
-    else:
-        lam_lo = np.full(ncol, config.lam)
-        stages = 1
+    lam_lo = np.array([_lam_floor(r / M) for r in rows])
     # S, RS: the kept iterate and its (masked) residual Y - A S; S_old, RS_old:
     # the kept iterate before it, the other end of the momentum step (after a
     # rejected step they hold the rejected one, which beta = 0 leaves out)
@@ -260,17 +241,14 @@ def ista_bpdn_batch(A, Y, config=None, mask=None, obj_trace=None, stop_trace=Non
     Z = np.empty((M, ncol), dtype)
     C = np.empty((M, ncol), dtype)
     AS = np.empty((K, ncol), dtype)
-    per_stage = config.max_iters // stages
-    for st in range(stages):
-        frac = st / (stages - 1) if stages > 1 else 1.0
-        lam = _LAM_HI * (lam_lo / _LAM_HI) ** frac if stages > 1 else lam_lo
+    for st in range(_STAGES):
+        lam = _LAM_HI * (lam_lo / _LAM_HI) ** (st / (_STAGES - 1))
         w = lam * corr
         th = (w / L).astype(dtype)
         neg_th = -th
         t, beta = 1.0, 0.0
         prev_obj = None
-        stopped = False
-        for _ in range(per_stage):
+        for _ in range(_STAGE_ITERS):
             # gradient step from V = S + beta (S - S_old):
             # Z = V + A^T R_V / L, with R_V = RS + beta (RS - RS_old) the residual at V
             if beta == 0.0:
@@ -312,14 +290,9 @@ def ista_bpdn_batch(A, Y, config=None, mask=None, obj_trace=None, stop_trace=Non
             t, beta = t_next, (t - 1.0) / t_next
             if obj_trace is not None:
                 obj_trace.append(float(obj))
-            if prev_obj is not None and abs(prev_obj - obj) <= config.residual_tol * max(prev_obj, 1.0):
-                stopped = True
+            if prev_obj is not None and abs(prev_obj - obj) <= _RESIDUAL_TOL * max(prev_obj, 1.0):
                 break
             prev_obj = obj
-        if stop_trace is not None:
-            stop_trace.append(stopped)
-    if config.debias:
-        debias(A, Y, S, mask)
     return S
 
 
@@ -348,26 +321,13 @@ def debias(A, Y, S, mask=None):
     return S
 
 
-def ista_bpdn(A, y, config=None, obj_trace=None):
-    """Single-vector monotone FISTA solve; see :func:`ista_bpdn_batch`.
-
-    The composite objective is non-increasing within each continuation
-    stage: a momentum step that would raise it is rejected and the momentum
-    restarts.  The report counts the iterations that ran, rejected steps
-    included, and it is converged only when the stopping test of the last
-    continuation stage fired.
-    """
-    config = config or SolverConfig()
+def ista_bpdn(A, y, obj_trace=None):
+    """Single-vector solve in float64: :func:`ista_bpdn_batch`, then
+    :func:`debias`.  Returns the estimate vector."""
     A = np.asarray(A, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    trace = [] if obj_trace is None else obj_trace
-    before = len(trace)
-    stops = []
-    S = ista_bpdn_batch(A, y[:, None], config=config, obj_trace=trace, stop_trace=stops)
-    x = S[:, 0]
-    resid = float(np.linalg.norm(y - A @ x))
-    return RecoveryReport(estimate=x, residual_l2=resid, iterations=len(trace) - before,
-                          converged=bool(stops) and stops[-1])
+    y = np.asarray(y, dtype=float).ravel()[:, None]
+    S = ista_bpdn_batch(A, y, obj_trace=obj_trace)
+    return debias(A, y, S)[:, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,14 @@ import pytest
 
 import blpcs
 from blpcs.cipher import keygen
+from blpcs.cli import _FIG1_DMAX, _FIG1_K, _FIG1_M, _FIG1_SPARSITY
+from blpcs.ensembles import antipodal_scaled_matrix
 from blpcs.errors import GuardError
 from blpcs.imaging import ChannelModel, apply_channel, columnwise_encode, make_test_image
 from blpcs.keyrand import derive_stream
-from blpcs.solvers import (_LAM_HI, _STAGES, SolverConfig, _lam_floor, _spectral_norm_sq,
-                           debias, ista_bpdn, ista_bpdn_batch, l0_bruteforce, omp_recover,
-                           subspace_pursuit, two_step_decode)
+from blpcs.solvers import (_LAM_HI, _RESIDUAL_TOL, _STAGE_ITERS, _STAGES, _lam_floor,
+                           _spectral_norm_sq, debias, ista_bpdn, ista_bpdn_batch, l0_bruteforce,
+                           omp_recover, subspace_pursuit, two_step_decode)
 
 
 def test_omp_identity_single_spike():
@@ -68,17 +70,19 @@ def test_subspace_pursuit_recovers_and_can_evict():
 
 
 def test_ista_zero_rhs():
-    rep = ista_bpdn(np.eye(6), np.zeros(6))
-    assert np.array_equal(rep.estimate, np.zeros(6))
+    assert np.array_equal(ista_bpdn(np.eye(6), np.zeros(6)), np.zeros(6))
 
+
+# the fixed-lambda properties below run on the plain reference loop, one
+# stage at a fixed relative lambda; the shipped schedule is tied to that
+# loop bit for bit by test_ista_batch_matches_two_residual_reference
 
 def test_ista_orthonormal_small_lambda_limit():
     s = derive_stream(3, "q")
     Q = np.linalg.qr(s.gaussian((8, 8)))[0]
     y = s.gaussian(8)
-    cfg = SolverConfig(max_iters=3000, lam=1e-9, continuation=False, debias=False)
-    rep = ista_bpdn(Q, y, cfg)
-    assert np.allclose(rep.estimate, Q.T @ y, atol=1e-6)
+    x = _monotone_fista_reference(Q, y[:, None], lam_lo=1e-9, stages=1, stage_iters=3000)
+    assert np.allclose(x[:, 0], Q.T @ y, atol=1e-6)
 
 
 def test_ista_orthonormal_matches_soft_threshold_closed_form():
@@ -86,12 +90,20 @@ def test_ista_orthonormal_matches_soft_threshold_closed_form():
     Q = np.linalg.qr(s.gaussian((10, 10)))[0]
     y = s.gaussian(10)
     lam_rel = 0.3
-    cfg = SolverConfig(max_iters=3000, lam=lam_rel, continuation=False, debias=False)
-    rep = ista_bpdn(Q, y, cfg)
+    x = _monotone_fista_reference(Q, y[:, None], lam_lo=lam_rel, stages=1, stage_iters=3000)
     z = Q.T @ y
     th = lam_rel * np.abs(z).max()
     closed = np.sign(z) * np.maximum(np.abs(z) - th, 0.0)
-    assert np.allclose(rep.estimate, closed, atol=1e-8)
+    assert np.allclose(x[:, 0], closed, atol=1e-8)
+
+
+def _shipped_trace_by_stage(A, y):
+    """The objective trace of the shipped schedule, one row per stage; the
+    problem must be one on which no stage stops early."""
+    trace = []
+    ista_bpdn_batch(A, y[:, None], obj_trace=trace)
+    assert len(trace) == _STAGES * _STAGE_ITERS
+    return np.array(trace).reshape(_STAGES, _STAGE_ITERS)
 
 
 def test_ista_objective_monotone():
@@ -99,43 +111,43 @@ def test_ista_objective_monotone():
     A = s.gaussian((30, 80))
     y = s.gaussian(30)
     trace = []
-    cfg = SolverConfig(max_iters=200, lam=0.05, continuation=False,
-                       debias=False, residual_tol=1e-16)
-    ista_bpdn(A, y, cfg, obj_trace=trace)
+    _monotone_fista_reference(A, y[:, None], obj_trace=trace, lam_lo=0.05, stages=1,
+                              stage_iters=200, tol=1e-16)
     trace = np.array(trace)
     assert len(trace) > 10
     assert np.all(np.diff(trace) <= 1e-10 * trace[0])
+    # the shipped schedule: non-increasing within each stage
+    assert np.all(np.diff(_shipped_trace_by_stage(A, y), axis=1) <= 0)
 
 
 def test_ista_batch_objective_monotone_in_float32():
     # the float32 loop sums its objective in float64 and rejects by it, so
-    # the kept objective is non-increasing exactly as in float64
+    # the kept objective is non-increasing within each stage as in float64
     s = derive_stream(5, "m")
     A = s.gaussian((30, 80)).astype(np.float32)
     y = s.gaussian(30).astype(np.float32)
-    trace = []
-    cfg = SolverConfig(max_iters=200, lam=0.05, continuation=False,
-                       debias=False, residual_tol=1e-16)
-    ista_bpdn_batch(A, y[:, None], cfg, obj_trace=trace)
-    trace = np.array(trace)
-    assert len(trace) > 10
-    assert np.all(np.diff(trace) <= 1e-10 * trace[0])
+    assert np.all(np.diff(_shipped_trace_by_stage(A, y), axis=1) <= 0)
 
 
 @pytest.mark.parametrize("debiased", [False, True])
 def test_ista_batch_dtype_follows_inputs(debiased):
+    # the loop keeps the floating dtype of its inputs, and so does the refit
+    # into its result
+    def solve(A, Y):
+        S = ista_bpdn_batch(A, Y)
+        return debias(A, Y, S) if debiased else S
+
     s = derive_stream(14, "dtype")
     A = s.gaussian((20, 50))
     Y = s.gaussian((20, 3))
-    cfg = SolverConfig(debias=debiased)
-    assert ista_bpdn_batch(A.astype(np.float32), Y.astype(np.float32), cfg).dtype == np.float32
-    assert ista_bpdn_batch(A, Y, cfg).dtype == np.float64
-    assert ista_bpdn_batch(A, Y.astype(np.float32), cfg).dtype == np.float64
+    assert solve(A.astype(np.float32), Y.astype(np.float32)).dtype == np.float32
+    assert solve(A, Y).dtype == np.float64
+    assert solve(A, Y.astype(np.float32)).dtype == np.float64
     A_int = np.round(10 * A).astype(np.int64)
     Y_int = np.round(10 * Y).astype(np.int64)
-    got = ista_bpdn_batch(A_int, Y_int, cfg)
+    got = solve(A_int, Y_int)
     assert got.dtype == np.float64
-    assert np.array_equal(got, ista_bpdn_batch(A_int.astype(float), Y_int.astype(float), cfg))
+    assert np.array_equal(got, solve(A_int.astype(float), Y_int.astype(float)))
 
 
 @pytest.mark.parametrize("plr", [0.0, 0.3])
@@ -151,13 +163,12 @@ def test_ista_batch_float32_agrees_with_float64_on_a_keyed_image(sr, plr):
         Y = apply_channel(Y, ChannelModel("packet_loss", plr=plr), derive_stream(4, "loss"))
         mask = ~np.isnan(Y)
         Y = np.where(mask, Y, 0.0)
-    cfg = SolverConfig(debias=False)
-    S32 = ista_bpdn_batch(A.astype(np.float32), Y.astype(np.float32), cfg, mask)
-    S64 = ista_bpdn_batch(A, Y, cfg, mask)
+    S32 = ista_bpdn_batch(A.astype(np.float32), Y.astype(np.float32), mask)
+    S64 = ista_bpdn_batch(A, Y, mask)
     assert S32.dtype == np.float32
     assert np.linalg.norm(S32 - S64) < 1e-5 * np.linalg.norm(S64)
     refit = debias(A, Y, S32.astype(float), mask)
-    want = ista_bpdn_batch(A, Y, mask=mask)
+    want = debias(A, Y, S64, mask)
     assert np.linalg.norm(refit - want) < 1e-5 * np.linalg.norm(want)
 
 
@@ -165,11 +176,11 @@ _FLOAT32_SOLVE = """
 import hashlib
 import numpy as np
 from blpcs.keyrand import derive_stream
-from blpcs.solvers import SolverConfig, ista_bpdn_batch
+from blpcs.solvers import ista_bpdn_batch
 s = derive_stream(21, "threads")
 A = s.gaussian((154, 512)).astype(np.float32)
 Y = s.gaussian((154, 512)).astype(np.float32)
-S = ista_bpdn_batch(A, Y, SolverConfig(debias=False))
+S = ista_bpdn_batch(A, Y)
 print(S.dtype, hashlib.sha256(S.tobytes()).hexdigest())
 """
 
@@ -192,18 +203,23 @@ def test_ista_batch_matches_single():
     s = derive_stream(6, "b")
     A = s.gaussian((20, 50))
     Y = s.gaussian((20, 3))
-    S = ista_bpdn_batch(A, Y)
+    S = debias(A, Y, ista_bpdn_batch(A, Y))
     for j in range(3):
-        rep = ista_bpdn(A, Y[:, j])
-        assert np.allclose(S[:, j], rep.estimate)
+        assert np.allclose(S[:, j], ista_bpdn(A, Y[:, j]))
 
 
-def _monotone_fista_reference(A, Y, config, mask, obj_trace):
-    """The batched monotone FISTA loop written plainly, without debias and
-    with fresh arrays each step.  It keeps two residuals, those of the last
-    two kept iterates, and forms the momentum point V and its residual R_V
-    from them; it soft thresholds as sign(z) * max(|z| - th, 0); a step that
-    raises the summed objective is thrown away, and so is the momentum."""
+def _monotone_fista_reference(A, Y, mask=None, obj_trace=None, *, lam_lo=None,
+                              stages=_STAGES, stage_iters=_STAGE_ITERS, tol=_RESIDUAL_TOL):
+    """The batched monotone FISTA loop written plainly, with fresh arrays
+    each step.  It keeps two residuals, those of the last two kept iterates,
+    and forms the momentum point V and its residual R_V from them; it soft
+    thresholds as sign(z) * max(|z| - th, 0); a step that raises the summed
+    objective is thrown away, and so is the momentum.
+
+    The defaults are the shipped schedule.  ``lam_lo`` replaces the adaptive
+    floor of every column by one relative lambda; with ``stages=1`` the
+    single stage runs at that lambda."""
+    obj_trace = [] if obj_trace is None else obj_trace
     K, M = A.shape
     ncol = Y.shape[1]
     L = _spectral_norm_sq(A)
@@ -214,22 +230,19 @@ def _monotone_fista_reference(A, Y, config, mask, obj_trace):
         rows = np.full(ncol, float(K))
     corr = np.abs(A.T @ Y).max(axis=0)
     corr[corr == 0] = 1.0
-    if config.continuation:
-        lam_lo = np.array([_lam_floor(r / M, config.lam) for r in rows])
-        stages = _STAGES
+    if lam_lo is None:
+        lam_lo = np.array([_lam_floor(r / M) for r in rows])
     else:
-        lam_lo = np.full(ncol, config.lam)
-        stages = 1
+        lam_lo = np.full(ncol, lam_lo)
     S = S_old = np.zeros((M, ncol))
     R = R_old = Y.copy()
-    per_stage = max(1, config.max_iters // stages)
     for st in range(stages):
         frac = st / (stages - 1) if stages > 1 else 1.0
         lam = _LAM_HI * (lam_lo / _LAM_HI) ** frac if stages > 1 else lam_lo
         th = (lam * corr) / L
         t, beta = 1.0, 0.0
         prev_obj = None
-        for _ in range(per_stage):
+        for _ in range(stage_iters):
             V = S + beta * (S - S_old)
             R_V = R + beta * (R - R_old)
             Z = V + (A.T @ R_V) / L
@@ -246,7 +259,7 @@ def _monotone_fista_reference(A, Y, config, mask, obj_trace):
             t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
             t, beta = t_next, (t - 1.0) / t_next
             obj_trace.append(float(obj))
-            if prev_obj is not None and abs(prev_obj - obj) <= config.residual_tol * max(prev_obj, 1.0):
+            if prev_obj is not None and abs(prev_obj - obj) <= tol * max(prev_obj, 1.0):
                 break
             prev_obj = obj
     return S
@@ -254,8 +267,11 @@ def _monotone_fista_reference(A, Y, config, mask, obj_trace):
 
 def _reference_problems(masked):
     """(A, Y, mask) triples: a small random system, one column of it (the
-    shape ista_bpdn passes), and an image-shaped system from a real key;
-    the masks drop about 30% of the measurements."""
+    shape ista_bpdn passes), an image-shaped system from a real key, and
+    one direct-l1 problem of the fig1 experiment (seed 1, trial 5); the
+    masks drop about 30% of the measurements, except on the fig1 problem,
+    which like fig1 itself keeps every row (its stopping test fires at
+    iteration 77)."""
     s = derive_stream(12, "ref")
     A = s.gaussian((30, 80))
     Y = s.gaussian((30, 6))
@@ -266,35 +282,29 @@ def _reference_problems(masked):
     Y = columnwise_encode(key, make_test_image(128))
     mask = (s.uniform(Y.shape) >= 0.3).astype(float) if masked else None
     yield key.sensing_matrix(), Y, mask
+    st = derive_stream(1, "fig1/5")
+    d = st.integers(1, _FIG1_DMAX + 1, _FIG1_M).astype(float)
+    Phi = antipodal_scaled_matrix(st, _FIG1_K, _FIG1_M, d)
+    x = np.zeros(_FIG1_M)
+    x[st.subset(_FIG1_M, _FIG1_SPARSITY)] = 1.0
+    yield Phi, (Phi @ x)[:, None], None
 
 
 @pytest.mark.parametrize("masked", [False, True])
-@pytest.mark.parametrize("cfg", [SolverConfig(debias=False),
-                                 SolverConfig(debias=False, residual_tol=1e-4),
-                                 SolverConfig(debias=False, continuation=False)])
-def test_ista_batch_matches_two_residual_reference(masked, cfg):
+def test_ista_batch_matches_two_residual_reference(masked):
+    # the problems cover both early exits of a stage: a stopping test that
+    # fires, and a rejected step (the trace repeats the kept objective)
+    stopped = rejected = False
     for A, Y, mask in _reference_problems(masked):
         want_trace, got_trace = [], []
-        want = _monotone_fista_reference(A, Y, cfg, mask=mask, obj_trace=want_trace)
-        got = ista_bpdn_batch(A, Y, cfg, mask=mask, obj_trace=got_trace)
+        want = _monotone_fista_reference(A, Y, mask, obj_trace=want_trace)
+        got = ista_bpdn_batch(A, Y, mask, obj_trace=got_trace)
         assert np.array_equal(got, want)
         assert got_trace == want_trace
-
-
-def test_ista_report_counts_executed_iterations():
-    s = derive_stream(13, "it")
-    A = s.gaussian((20, 50))
-    y = s.gaussian(20)
-    trace = []
-    rep = ista_bpdn(A, y, SolverConfig(max_iters=7), obj_trace=trace)
-    assert rep.iterations == len(trace) <= 7
-    assert not rep.converged  # one iteration per stage leaves no room to stop
-    rep = ista_bpdn(A, y, SolverConfig(max_iters=401))
-    assert rep.iterations <= 401
-    # a loose tolerance lets the last stage's stopping test fire early
-    trace = []
-    rep = ista_bpdn(A, y, SolverConfig(residual_tol=1e-3), obj_trace=trace)
-    assert rep.converged and rep.iterations == len(trace) < SolverConfig().max_iters
+        assert len(got_trace) <= _STAGES * _STAGE_ITERS
+        stopped |= len(got_trace) < _STAGES * _STAGE_ITERS
+        rejected |= any(a == b for a, b in zip(got_trace, got_trace[1:]))
+    assert stopped and rejected
 
 
 def test_ista_rejected_step_keeps_the_iterate_and_does_not_stop():
@@ -306,22 +316,21 @@ def test_ista_rejected_step_keeps_the_iterate_and_does_not_stop():
     y = s.gaussian(20)
 
     def run(iters):
-        trace, stops = [], []
-        cfg = SolverConfig(max_iters=iters, lam=0.01, continuation=False,
-                           debias=False, residual_tol=1e-16)
-        S = ista_bpdn_batch(A, y[:, None], cfg, obj_trace=trace, stop_trace=stops)
-        return S, trace, stops
+        trace = []
+        S = _monotone_fista_reference(A, y[:, None], obj_trace=trace, lam_lo=0.01, stages=1,
+                                      stage_iters=iters, tol=1e-16)
+        return S, trace
 
-    _, trace, _ = run(200)
+    _, trace = run(200)
     rejected = [i for i in range(1, len(trace)) if trace[i] == trace[i - 1]]
     assert rejected, "no step of this problem was rejected"
     i = rejected[0]
-    S_before, _, _ = run(i)
-    S_after, trace, stops = run(i + 1)
+    S_before, _ = run(i)
+    S_after, trace = run(i + 1)
     assert np.array_equal(S_after, S_before)
-    assert trace[i] == trace[i - 1] and stops == [False]
-    _, trace, stops = run(i + 2)
-    assert len(trace) == i + 2 and stops == [False]
+    assert trace[i] == trace[i - 1]
+    _, trace = run(i + 2)
+    assert len(trace) == i + 2
 
 
 def test_ista_batch_mask_equals_row_subset():
@@ -332,11 +341,10 @@ def test_ista_batch_mask_equals_row_subset():
     y = s.gaussian(24)
     keep = s.uniform(24) > 0.3
     mask = keep.astype(float)[:, None]
-    cfg = SolverConfig(max_iters=4000, lam=0.05, continuation=False,
-                       debias=False, residual_tol=1e-16)
-    S_masked = ista_bpdn_batch(A, (y * keep)[:, None], cfg, mask=mask)
-    rep_sub = ista_bpdn(A[keep], y[keep], cfg)
-    assert np.allclose(S_masked[:, 0], rep_sub.estimate, atol=1e-5)
+    fixed = dict(lam_lo=0.05, stages=1, stage_iters=4000, tol=1e-16)
+    S_masked = _monotone_fista_reference(A, (y * keep)[:, None], mask, **fixed)
+    S_sub = _monotone_fista_reference(A[keep], y[keep][:, None], **fixed)
+    assert np.allclose(S_masked[:, 0], S_sub[:, 0], atol=1e-5)
 
 
 def test_l0_bruteforce_exact_and_edges():
@@ -396,9 +404,3 @@ def test_two_step_decode_bp_route_sparse():
     assert np.linalg.norm(rep.estimate - x_true) < 1e-6 * np.linalg.norm(x_true)
     assert rep.residual_l2 < 1e-8
 
-
-def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        SolverConfig(residual_tol=0.0)
