@@ -14,6 +14,9 @@ energy-concentrating analysis map of the length-M transform is x -> R^T x.
 All coefficient maps in this module use that analysis direction.
 """
 
+import ctypes
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +63,46 @@ class EigenSystem:
         return self.U @ (np.exp(1j * alpha * self.phis)[:, None] * self.U.conj().T)
 
 
+def _blas_thread_control():
+    """The get and set of the thread count of numpy's bundled OpenBLAS,
+    found through numpy's LAPACK extension, which links it; None when that
+    library exports neither."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+_BLAS_THREADS = _blas_thread_control()
+_BLAS_THREADS_LOCK = threading.Lock()
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with OpenBLAS on one thread, then restore its count.
+
+    The count is process-wide, so the lock keeps two callers from
+    interleaving their pin and restore.  Does nothing when OpenBLAS offers
+    no thread control.
+    """
+    if _BLAS_THREADS is None:
+        yield
+        return
+    get, put = _BLAS_THREADS
+    with _BLAS_THREADS_LOCK:
+        old = get()
+        put(1)
+        try:
+            yield
+        finally:
+            put(old)
+
+
 _EIG_CACHE = {}
 _CLUSTER_TOL = 1e-7
 _EIG_RESID_TOL = 1e-10
@@ -70,13 +113,17 @@ def dct_eigensystem(n):
 
     Eigenvalues are sorted by principal argument in (-pi, pi]; near-equal
     arguments are clustered, re-orthonormalized by QR, and tie-broken by
-    lexicographic order on the rounded eigenvector entries.  Results are
-    cached per size.
+    lexicographic order on the rounded eigenvector entries.  The
+    eigensolver runs on one OpenBLAS thread, so the result does not depend
+    on the thread count.  Results are cached per size.
     """
     if n in _EIG_CACHE:
         return _EIG_CACHE[n]
     C = dct_matrix(n)
-    lam, U = np.linalg.eig(C.astype(complex))
+    # LAPACK's eigenvectors differ in the last bits between thread counts
+    # from n = 128 on; one thread keeps every key independent of the count
+    with _one_blas_thread():
+        lam, U = np.linalg.eig(C.astype(complex))
     phi = np.angle(lam)
     # keep the principal branch (-pi, pi] but fold values hugging -pi onto +pi
     # so a -1 eigenspace is not split across the branch cut

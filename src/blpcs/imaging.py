@@ -213,7 +213,9 @@ def columnwise_decode(key, Y, scramble=True):
     refit: :func:`~blpcs.solvers.ista_bpdn_batch` (the fixed FISTA
     schedule, no refit) on float32 copies of the sensing matrix and
     measurements, then :func:`~blpcs.solvers.debias` against the float64
-    ones.  The result is clamped to [0, 255].
+    ones: a float64 least-squares refit of every column on its support,
+    solved as stacked normal equations in blocks of about 1 MiB.  The
+    result is clamped to [0, 255].
     """
     Y = np.asarray(Y, dtype=float)
     if Y.shape != (key.K, key.M):

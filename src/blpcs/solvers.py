@@ -11,8 +11,9 @@ Three routes with different regimes and guarantees:
   columns: many columns against one matrix, optionally with per-column
   measurement masks, in float32 when given float32 inputs and in float64
   otherwise; :func:`debias` refits its estimate by least squares on each
-  column's support, and :func:`ista_bpdn` is the float64 single-vector
-  solve with that refit;
+  column's support, always in float64, solving the normal equations of
+  many columns at once in blocks of bounded memory, and :func:`ista_bpdn`
+  is the float64 single-vector solve with that refit;
 * :func:`l0_bruteforce` -- exhaustive support search, the desk-scale oracle
   the other solvers are verified against.
 
@@ -296,6 +297,10 @@ def ista_bpdn_batch(A, Y, mask=None, *, obj_trace=None):
     return S
 
 
+# bytes of the support columns of A that one block of debias gathers
+_DEBIAS_BLOCK_BYTES = 1 << 20
+
+
 def debias(A, Y, S, mask=None):
     """Least-squares refit of each column of S on its own support, in place.
 
@@ -303,21 +308,52 @@ def debias(A, Y, S, mask=None):
     columns of A that its nonzeros select, using only the rows where
     ``mask`` (0/1, same shape as Y) is set.  A column with an empty support,
     or a support larger than half its surviving rows, is left as it is.
-    The fit runs in the dtype of A and Y and is stored in the dtype of S.
     Returns S.
+
+    The fit is always float64, whatever the dtype of A and Y, and is stored
+    in the dtype of S.  It solves the normal equations of many columns at
+    once.  The columns to refit, sorted by support size, go in blocks whose
+    gathered support columns of A take about 1 MiB; each block is padded to
+    its largest support (a padded slot is a zero column with a 1 on the Gram
+    diagonal, so its coefficient solves to 0) and solved by one stacked
+    ``np.linalg.solve``.  So the memory the refit adds is a few blocks, never
+    a buffer the size of S.  The skip rule keeps every support at most half
+    of its rows, which bounds the conditioning of the normal equations.
     """
-    A = np.asarray(A)
-    Y = np.asarray(Y)
-    if mask is not None:
-        mask = np.asarray(mask)
-    for j in range(S.shape[1]):
-        sup = np.flatnonzero(S[:, j])
-        live = np.arange(A.shape[0]) if mask is None else np.flatnonzero(mask[:, j])
-        if sup.size == 0 or sup.size > 0.5 * live.size:
-            continue
-        sol, *_ = np.linalg.lstsq(A[np.ix_(live, sup)], Y[live, j], rcond=None)
-        S[:, j] = 0.0
-        S[sup, j] = sol
+    A = np.asarray(A, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    K = A.shape[0]
+    live = None if mask is None else np.asarray(mask) != 0
+    sizes = np.count_nonzero(S, axis=0)
+    rows = np.full(S.shape[1], K) if live is None else np.count_nonzero(live, axis=0)
+    cols = np.flatnonzero((sizes > 0) & (2 * sizes <= rows))
+    cols = cols[np.argsort(sizes[cols], kind="stable")]
+    # a block of b columns padded to support width w gathers b * w * K values
+    cap = max(_DEBIAS_BLOCK_BYTES // (8 * max(K, 1)), 1)
+    start = 0
+    while start < cols.size:
+        padded = np.arange(1, cols.size - start + 1) * sizes[cols[start:]]
+        block = cols[start:start + max(int(np.searchsorted(padded, cap, side="right")), 1)]
+        start += block.size
+        held = S[:, block].T != 0
+        slot, pos = np.nonzero(held)
+        rank = (np.cumsum(held, axis=1) - 1)[held]
+        width = int(sizes[block[-1]])
+        used = np.arange(width) < sizes[block][:, None]
+        idx = np.zeros((block.size, width), dtype=np.intp)
+        idx[slot, rank] = pos
+        X = A.T[idx]
+        X *= used[:, :, None]
+        y = Y[:, block].T
+        if live is not None:
+            keep = live[:, block].T
+            X *= keep[:, None, :]
+            y = np.where(keep, y, 0.0)
+        G = X @ X.transpose(0, 2, 1)
+        G.reshape(block.size, -1)[:, ::width + 1] += ~used
+        sol = np.linalg.solve(G, X @ y[:, :, None])
+        S[:, block] = 0.0
+        S[pos, block[slot]] = sol[slot, rank, 0]
     return S
 
 

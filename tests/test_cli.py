@@ -1,10 +1,15 @@
 """CLI contract: flags, exit codes, file handoffs, CSV determinism."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blpcs
 import blpcs.cli as cli
 from blpcs.cipher import keygen, load_measurements, read_key_file, save_measurements
 from blpcs.errors import GuardError
@@ -355,3 +360,35 @@ def test_mixed_image_key_outputs_are_byte_stable(tmp_path):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in _MIXED_IMAGE_SHA256}
     assert got == _MIXED_IMAGE_SHA256
+
+
+_KEYGEN_ENCODE_512 = """
+import hashlib, sys
+from pathlib import Path
+import blpcs.cli as cli
+from blpcs.imaging import make_test_image, save_pgm
+out = Path(sys.argv[1])
+save_pgm(make_test_image(512), out / "in.pgm")
+assert cli.main(["keygen", "--seed", "7", "--n", "512", "--sr", "0.3",
+                 "--out", str(out / "k.key")]) == 0
+assert cli.main(["encode", "--key", str(out / "k.key"), "--in", str(out / "in.pgm"),
+                 "--out", str(out / "m.blpy")]) == 0
+print(hashlib.sha256((out / "m.blpy").read_bytes()).hexdigest())
+"""
+
+
+def test_512_measurement_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the secret basis of a 512x512 key comes from LAPACK's eigensolver at
+    # n = 256, whose eigenvectors differ in the last bits between thread
+    # counts unless it runs on one.  OpenBLAS reads its thread count once,
+    # at load, so each count needs its own process
+    src = str(Path(blpcs.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", _KEYGEN_ENCODE_512, str(out)], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        digests.append(done.stdout.strip())
+    assert digests[0] == digests[1]

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -282,12 +283,17 @@ def _reference_problems(masked):
     Y = columnwise_encode(key, make_test_image(128))
     mask = (s.uniform(Y.shape) >= 0.3).astype(float) if masked else None
     yield key.sensing_matrix(), Y, mask
-    st = derive_stream(1, "fig1/5")
+    yield *_fig1_problem(1, 5), None
+
+
+def _fig1_problem(seed, trial):
+    """(Phi, y) of the direct-l1 solve of the fig1 experiment, y as a column."""
+    st = derive_stream(seed, f"fig1/{trial}")
     d = st.integers(1, _FIG1_DMAX + 1, _FIG1_M).astype(float)
     Phi = antipodal_scaled_matrix(st, _FIG1_K, _FIG1_M, d)
     x = np.zeros(_FIG1_M)
     x[st.subset(_FIG1_M, _FIG1_SPARSITY)] = 1.0
-    yield Phi, (Phi @ x)[:, None], None
+    return Phi, (Phi @ x)[:, None]
 
 
 @pytest.mark.parametrize("masked", [False, True])
@@ -345,6 +351,100 @@ def test_ista_batch_mask_equals_row_subset():
     S_masked = _monotone_fista_reference(A, (y * keep)[:, None], mask, **fixed)
     S_sub = _monotone_fista_reference(A[keep], y[keep][:, None], **fixed)
     assert np.allclose(S_masked[:, 0], S_sub[:, 0], atol=1e-5)
+
+
+def _lstsq_debias_reference(A, Y, S, mask=None):
+    """The refit one column at a time, each by an SVD least-squares solve."""
+    A = np.asarray(A)
+    Y = np.asarray(Y)
+    if mask is not None:
+        mask = np.asarray(mask)
+    for j in range(S.shape[1]):
+        sup = np.flatnonzero(S[:, j])
+        live = np.arange(A.shape[0]) if mask is None else np.flatnonzero(mask[:, j])
+        if sup.size == 0 or sup.size > 0.5 * live.size:
+            continue
+        sol, *_ = np.linalg.lstsq(A[np.ix_(live, sup)], Y[live, j], rcond=None)
+        S[:, j] = 0.0
+        S[sup, j] = sol
+    return S
+
+
+def _assert_debias_matches_reference(A, Y, S, mask=None):
+    want = _lstsq_debias_reference(A, Y, S.copy(), mask)
+    got = debias(A, Y, S.copy(), mask)
+    assert got.dtype == S.dtype
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    return got
+
+
+def _keyed_image_problem(n, sr, plr):
+    """(A, Y, mask) of a keyed n x n frame, 30% of it lost when plr is set."""
+    key = keygen(3, n, sr, 1.0)
+    Y = columnwise_encode(key, make_test_image(n))
+    mask = None
+    if plr:
+        Y = apply_channel(Y, ChannelModel("packet_loss", plr=plr), derive_stream(4, "loss"))
+        mask = ~np.isnan(Y)
+        Y = np.where(mask, Y, 0.0)
+    return key.sensing_matrix(), Y, mask
+
+
+@pytest.mark.parametrize("plr", [0.0, 0.3])
+@pytest.mark.parametrize("sr", [0.3, 0.7])
+def test_debias_matches_lstsq_on_a_keyed_image(sr, plr):
+    # the supports of the float32 loop, as columnwise_decode refits them
+    A, Y, mask = _keyed_image_problem(128, sr, plr)
+    S = ista_bpdn_batch(A.astype(np.float32), Y.astype(np.float32), mask).astype(float)
+    got = _assert_debias_matches_reference(A, Y, S, mask)
+    assert not np.array_equal(got, S)
+
+
+def test_debias_matches_lstsq_on_fig1_problems():
+    refit = 0
+    for trial in range(6):
+        Phi, y = _fig1_problem(1, trial)
+        S = ista_bpdn_batch(Phi, y)
+        refit += not np.array_equal(_assert_debias_matches_reference(Phi, y, S), S)
+    assert refit > 0
+
+
+def test_debias_skip_rule_edges():
+    # 8 rows; columns 1-3 lose rows 0 and 1, column 4 loses every row, and a
+    # lost row holds NaN, which the fit must not read
+    s = derive_stream(15, "debias")
+    A = s.gaussian((8, 12))
+    Y = s.gaussian((8, 6))
+    mask = np.ones((8, 6), dtype=bool)
+    mask[:2, 1:4] = False
+    mask[:, 4] = False
+    Y[~mask] = np.nan
+    S = np.zeros((12, 6))     # column 0 keeps an empty support: left as it is
+    S[[2, 5, 9], 1] = 1.0     # 3 of 6 live rows, exactly half: refit
+    S[[0, 4, 7, 11], 2] = 1.0  # 4 of 6 live rows, one more than half: left
+    S[[3], 3] = 1.0           # 1 of 6: refit, in the same block as column 1
+    S[[6], 4] = 1.0           # every row lost: left
+    S[[1, 3, 8, 10], 5] = 1.0  # 4 of 8 with no row lost: refit
+    got = _assert_debias_matches_reference(A, Y, S, mask)
+    for j in (0, 2, 4):
+        assert np.array_equal(got[:, j], S[:, j])
+    for j in (1, 3, 5):
+        assert not np.array_equal(got[:, j], S[:, j])
+
+
+def test_debias_memory_stays_below_three_frames():
+    # the refit gathers support columns in blocks of about 1 MiB, so a
+    # 512x512 frame at sr 0.7 with 30% loss needs far less than 3 frames
+    A, Y, mask = _keyed_image_problem(512, 0.7, 0.3)
+    S = ista_bpdn_batch(A.astype(np.float32), Y.astype(np.float32), mask).astype(float)
+    limit = 3 * S.nbytes
+    tracemalloc.start()
+    try:
+        debias(A, Y, S, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit
 
 
 def test_l0_bruteforce_exact_and_edges():
