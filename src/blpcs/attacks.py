@@ -7,25 +7,30 @@ matrix is as good as the key: a standard sparse decode then reads every
 later ciphertext.  Against the bi-level cipher the same recovered matrix is
 useless, because the required sample count for direct l1 decoding scales
 with the coherence of the composed matrix.  The attack sweep of the command
-line exercises both sides of that claim.  The factorisation-ambiguity and
-single-query Bernoulli demonstrations live with the tests that check those
-claims (``tests/oracles.py``).
+line exercises both sides of that claim.
+
+Guessing the key fails for a different reason: a generic K x M Gaussian
+matrix fits any K measurements exactly with at most K nonzeros, so a decode
+under a wrong key "succeeds" numerically while bearing no relation to the
+plaintext, and the brute-force attacker gets no stopping rule.  Acceptance
+criterion 5 checks that with :func:`blpcs.solvers.omp_recover`.  The
+factorisation-ambiguity and single-query Bernoulli demonstrations live with
+the tests that check those claims (``tests/oracles.py``).
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import LinearityError
-from .solvers import omp_recover, two_step_decode
+from .solvers import two_step_decode
 
 __all__ = [
     "EncryptionOracle",
     "AttackReport",
     "cpa_recover_matrix",
     "cpa_break_and_decode",
-    "wrong_key_recovery_demo",
     "proximity_scatter",
 ]
 
@@ -43,11 +48,8 @@ class EncryptionOracle:
 
 @dataclass
 class AttackReport:
-    recovered_matrix: Optional[np.ndarray]
+    recovered_matrix: np.ndarray
     queries_used: int
-    break_success: Optional[bool] = None
-    reconstruction_error: float = float("nan")
-    estimate: Optional[np.ndarray] = None
 
 
 # random queries that check the oracle's linearity after the M basis queries
@@ -92,33 +94,8 @@ def cpa_break_and_decode(recovered, c, public_basis=None):
     recovered = np.asarray(recovered)
     c = np.asarray(c).ravel()
     B = recovered if public_basis is None else recovered @ public_basis
-    s = two_step_decode(B, c).estimate
+    s = two_step_decode(B, c)
     return s if public_basis is None else public_basis @ s
-
-
-def wrong_key_recovery_demo(A, A_wrong, y, x_true=None):
-    """Fit y with a sensing matrix the encoder never used.
-
-    A generic K x M Gaussian matrix fits any K measurements exactly with at
-    most K nonzeros, so the decode "succeeds" numerically while bearing no
-    relation to the plaintext; that consistency is what denies the
-    brute-force attacker a stopping rule.
-    """
-    A_wrong = np.asarray(A_wrong, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    K = A_wrong.shape[0]
-    report = omp_recover(A_wrong, y, K)
-    x_prime = report.estimate
-    rel = float("nan")
-    success = None
-    if x_true is not None:
-        x_true = np.asarray(x_true, dtype=float).ravel()
-        denom = np.linalg.norm(x_true)
-        rel = float(np.linalg.norm(x_prime - x_true) / denom) if denom > 0 else 0.0
-        success = bool(report.residual_l2 < 1e-6 and rel > 0.5)
-    return AttackReport(recovered_matrix=None, queries_used=0,
-                        break_success=success, reconstruction_error=rel,
-                        estimate=x_prime)
 
 
 # random plaintext pairs of the proximity scatter

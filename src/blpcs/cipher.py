@@ -14,6 +14,7 @@ concatenation.  These are insecure against chosen-plaintext attacks under
 matrix reuse -- they exist as attack targets for the attacks module.
 """
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,16 +158,13 @@ def blp_encode(key, x):
     return key.sensing_matrix() @ forward(x)
 
 def blp_decode(key, y):
-    """Two-step decode: l1-solve against A_K, then apply Psi_K.
-
-    Returns (estimate, step-1 recovery report).
-    """
+    """Two-step decode: l1-solve against A_K, then apply Psi_K.  Returns
+    the signal estimate."""
     y = np.asarray(y, dtype=float).ravel()
     if y.size != key.K:
         raise ValueError(f"ciphertext length {y.size} does not match key K={key.K}")
     _, inverse = key.basis()
-    report = two_step_decode(key.sensing_matrix(), y)
-    return inverse(report.estimate), report
+    return inverse(two_step_decode(key.sensing_matrix(), y))
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +332,10 @@ def load_measurements(path, K, n):
             raise FormatError(f"{path}: measurement count {K_file} does not match K={K}")
         if count != n:
             raise FormatError(f"{path}: {count} packets do not match {n} columns")
+        # a header alone must not size the array: the file has to hold at
+        # least the n packet headers before K x n values are allocated
+        if os.fstat(fh.fileno()).st_size < 12 + 4 * n:
+            raise FormatError(f"{path}: truncated packet header")
         Y = np.full((K, n), np.nan)
         for j in range(n):
             raw = fh.read(4)

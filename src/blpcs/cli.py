@@ -85,7 +85,7 @@ def run_fig1(seed, trials=100):
         x[st.subset(M, k)] = 1.0
         y = Phi @ x
         A = Phi / d[None, :]
-        xbar = two_step_decode(A, y).estimate / d
+        xbar = two_step_decode(A, y) / d
         two_step = _rel_error(xbar, x)
         direct = _rel_error(ista_bpdn(Phi, y), x)
         rows.append((t, f"{two_step:.6e}", f"{direct:.6e}"))

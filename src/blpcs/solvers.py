@@ -19,10 +19,11 @@ Three routes with different regimes and guarantees:
 
 :func:`two_step_decode` is the sensing-matrix solve of the bi-level
 cipher's decode (OMP and SP, keeping the feasible fit of least l1 norm);
-each caller then applies its own basis to the coefficients.
+each caller then applies its own basis to the coefficients.  Every solver
+returns its coefficient estimate as an array; a caller that needs the
+residual computes it from the estimate.
 """
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb, sqrt
 
@@ -31,7 +32,6 @@ import numpy as np
 from .errors import GuardError
 
 __all__ = [
-    "RecoveryReport",
     "omp_recover",
     "subspace_pursuit",
     "ista_bpdn",
@@ -47,14 +47,6 @@ __all__ = [
 _RESIDUAL_TOL = 1e-10
 # support refinement rounds of subspace pursuit
 _REFINE_ITERS = 30
-
-
-@dataclass
-class RecoveryReport:
-    estimate: np.ndarray
-    residual_l2: float
-    iterations: int
-    converged: bool
 
 
 # power-iteration steps of the spectral norm estimate
@@ -84,7 +76,7 @@ def omp_recover(A, y, sparsity_budget):
     least-squares refit on the active set, repeat.
 
     Stops when the relative residual drops below 1e-10 or the budget is
-    exhausted.  Works for real and complex systems.
+    exhausted.  Works for real and complex systems.  Returns the estimate.
     """
     A = np.asarray(A)
     y = np.asarray(y).ravel()
@@ -94,12 +86,11 @@ def omp_recover(A, y, sparsity_budget):
     x = np.zeros(M, dtype=np.result_type(A.dtype, y.dtype, float))
     ynorm = float(np.linalg.norm(y))
     if ynorm == 0.0:
-        return RecoveryReport(estimate=x, residual_l2=0.0, iterations=0, converged=True)
+        return x
     r = y.astype(x.dtype)
     support: list[int] = []
     sol = np.zeros(0, dtype=x.dtype)
-    it = 0
-    for it in range(1, sparsity_budget + 1):
+    for _ in range(sparsity_budget):
         if len(support) == M:
             break
         corr = np.abs(A.conj().T @ r)
@@ -110,9 +101,7 @@ def omp_recover(A, y, sparsity_budget):
         if np.linalg.norm(r) < _RESIDUAL_TOL * ynorm:
             break
     x[support] = sol
-    resid = float(np.linalg.norm(y - A @ x))
-    return RecoveryReport(estimate=x, residual_l2=resid, iterations=it,
-                          converged=resid < _RESIDUAL_TOL * ynorm)
+    return x
 
 
 def subspace_pursuit(A, y, k):
@@ -122,6 +111,7 @@ def subspace_pursuit(A, y, k):
     the current support with the k best residual correlations, least-squares
     fits, and prunes back to k.  Unlike greedy pursuit it can evict an early
     wrong pick, which matters when small coefficients hide behind large ones.
+    Returns the estimate.
     """
     A = np.asarray(A)
     y = np.asarray(y).ravel()
@@ -131,13 +121,12 @@ def subspace_pursuit(A, y, k):
     x = np.zeros(M, dtype=np.result_type(A.dtype, y.dtype, float))
     ynorm = float(np.linalg.norm(y))
     if ynorm == 0.0:
-        return RecoveryReport(estimate=x, residual_l2=0.0, iterations=0, converged=True)
+        return x
     sup = np.argsort(-np.abs(A.conj().T @ y), kind="stable")[:k]
     sol, *_ = np.linalg.lstsq(A[:, sup], y, rcond=None)
     r = y - A[:, sup] @ sol
     best = (float(np.linalg.norm(r)), sup, sol)
-    it = 0
-    for it in range(1, _REFINE_ITERS + 1):
+    for _ in range(_REFINE_ITERS):
         cand = np.union1d(sup, np.argsort(-np.abs(A.conj().T @ r), kind="stable")[:k])
         sol_c, *_ = np.linalg.lstsq(A[:, cand], y, rcond=None)
         sup = cand[np.argsort(-np.abs(sol_c), kind="stable")[:k]]
@@ -152,8 +141,7 @@ def subspace_pursuit(A, y, k):
         if rn < _RESIDUAL_TOL * ynorm:
             break
     x[best[1]] = best[2]
-    return RecoveryReport(estimate=x, residual_l2=best[0], iterations=it,
-                          converged=best[0] < _RESIDUAL_TOL * ynorm)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -252,20 +240,15 @@ def ista_bpdn_batch(A, Y, mask=None, *, obj_trace=None):
         for _ in range(_STAGE_ITERS):
             # gradient step from V = S + beta (S - S_old):
             # Z = V + A^T R_V / L, with R_V = RS + beta (RS - RS_old) the residual at V
-            if beta == 0.0:
-                np.matmul(A.T, RS, out=Z)
-                Z /= L
-                Z += S
-            else:
-                np.subtract(RS, RS_old, out=AS)
-                AS *= beta
-                AS += RS
-                np.matmul(A.T, AS, out=Z)
-                Z /= L
-                np.subtract(S, S_old, out=C)
-                C *= beta
-                C += S
-                Z += C
+            np.subtract(RS, RS_old, out=AS)
+            AS *= beta
+            AS += RS
+            np.matmul(A.T, AS, out=Z)
+            Z /= L
+            np.subtract(S, S_old, out=C)
+            C *= beta
+            C += S
+            Z += C
             # the candidate goes into the S_old, RS_old buffers.  Soft threshold
             # as z - clip(z, -th, th): equal to sign(z) * max(|z| - th, 0) bit
             # for bit except for the sign of zeros
@@ -377,8 +360,7 @@ def l0_bruteforce(A, y, k):
 
     Every candidate support gets a least-squares fit; the smallest residual
     wins, preferring smaller supports on ties.  Guarded to about 1e6
-    candidate supports.  The report's ``iterations`` is the number of
-    supports searched.
+    candidate supports.  Returns the estimate.
     """
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -398,8 +380,7 @@ def l0_bruteforce(A, y, k):
                 best_resid = resid
                 x[:] = 0.0
                 x[list(T)] = sol
-    return RecoveryReport(estimate=x, residual_l2=best_resid, iterations=total,
-                          converged=True)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -411,19 +392,18 @@ def two_step_decode(A, y):
     A square A is solved directly.  Otherwise greedy pursuit and subspace
     pursuit both run, and the equality-feasible candidate of least l1 norm
     is kept (the smallest residual when neither is feasible).  Real and
-    complex systems are supported.  Returns the recovery report; the caller
-    maps its coefficient estimate back through its own basis (step 2).
+    complex systems are supported.  Returns the coefficient estimate; the
+    caller maps it back through its own basis (step 2).
     """
     A = np.asarray(A)
     y = np.asarray(y).ravel()
     K, M = A.shape
     if K == M:
-        s = np.linalg.solve(A, y)
-        resid = float(np.linalg.norm(y - A @ s))
-        return RecoveryReport(estimate=s, residual_l2=resid, iterations=0, converged=True)
+        return np.linalg.solve(A, y)
     cands = [omp_recover(A, y, K), subspace_pursuit(A, y, max(1, K // 4))]
+    fits = [(s, float(np.linalg.norm(y - A @ s))) for s in cands]
     ynorm = max(float(np.linalg.norm(y)), 1e-300)
-    feasible = [c for c in cands if c.residual_l2 < 1e-6 * ynorm]
+    feasible = [s for s, r in fits if r < 1e-6 * ynorm]
     if feasible:
-        return min(feasible, key=lambda c: float(np.abs(c.estimate).sum()))
-    return min(cands, key=lambda c: c.residual_l2)
+        return min(feasible, key=lambda s: float(np.abs(s).sum()))
+    return min(fits, key=lambda f: f[1])[0]

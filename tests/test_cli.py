@@ -184,6 +184,22 @@ def test_malformed_inputs_exit_3(tmp_path):
     assert missing == 3
 
 
+def test_decode_rejects_a_header_only_file_before_sizing_the_array(tmp_path, capsys):
+    # K = n = 2**23: the K x n array would take 512 TiB, more than any 64-bit
+    # user address space, so a reader that trusted the header would fail
+    # with an allocation error rather than the format error
+    key = tmp_path / "big.key"
+    key.write_text("seed=1\nM=8388608\nsr=1.0\nalpha=0.99\nbeta=0.95\ndmax=16\n"
+                   "mix_region=0.25\nmix_count=0\n")
+    meas = tmp_path / "m.blpy"
+    meas.write_bytes(b"BLPY" + np.array([2**23, 2**23], dtype="<u4").tobytes())
+    out = tmp_path / "r.pgm"
+    rc = cli.main(["decode", "--key", str(key), "--in", str(meas), "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 3 and not out.exists()
+    assert len(err) == 1 and "truncated packet header" in err[0]
+
+
 def test_guard_errors_exit_4(tmp_path, monkeypatch):
     def boom(args):
         raise GuardError("too big")

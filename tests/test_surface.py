@@ -1,9 +1,10 @@
-"""Every exported name and public method has a caller in the program.
+"""Every exported name, public method and dataclass field has a reader in
+the program.
 
 The program is the code under ``src/blpcs`` and ``bench/``; tests do not
-count as callers.  The scan is syntactic: a name counts as used when it is
+count as readers.  The scan is syntactic: a name counts as used when it is
 loaded as a name or read as an attribute anywhere in that code, and a method
-when it is read as an attribute.
+or a field of an exported dataclass when it is read as an attribute.
 """
 
 import ast
@@ -15,9 +16,14 @@ SOURCES = sorted((ROOT / "src" / "blpcs").glob("*.py")) + sorted((ROOT / "bench"
 # kept without a caller in the program, each for a stated reason
 ALLOWED = {
     "blp_decode": "the paper's keyed decode of one signal, the inverse of blp_encode",
-    "wrong_key_recovery_demo": "acceptance criterion 5 (consistent-but-wrong fits)",
     "acceptable_permutation_stats": "acceptance criterion 7 (scramble sparsity tail)",
     "l0_bruteforce": "acceptance criterion 8 (the exhaustive oracle)",
+}
+
+# exported dataclasses whose fields are kept without a reader in the program
+ALLOWED_FIELDS = {
+    "ScrambleStats": "acceptance criterion 7 reads the fields "
+                     "acceptable_permutation_stats returns",
 }
 
 
@@ -29,15 +35,22 @@ def _exports(tree):
     return set()
 
 
+def _is_dataclass(cls):
+    return any(getattr(d, "id", None) == "dataclass"
+               or getattr(getattr(d, "func", None), "id", None) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def _attribute_reads(trees):
+    return {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
 def test_every_export_and_public_method_has_a_program_caller():
     trees = {path: ast.parse(path.read_text()) for path in SOURCES}
-    names, attrs = set(), set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                attrs.add(node.attr)
+    names = {node.id for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    attrs = _attribute_reads(trees)
     unused = []
     for path, tree in trees.items():
         exported = _exports(tree)
@@ -48,3 +61,18 @@ def test_every_export_and_public_method_has_a_program_caller():
                            if isinstance(f, ast.FunctionDef)
                            and not f.name.startswith("_") and f.name not in attrs]
     assert not unused, "no caller in src/blpcs or bench/: " + ", ".join(unused)
+
+
+def test_every_field_of_an_exported_dataclass_is_read_in_the_program():
+    trees = {path: ast.parse(path.read_text()) for path in SOURCES}
+    attrs = _attribute_reads(trees)
+    unread = []
+    for path, tree in trees.items():
+        exported = _exports(tree)
+        for cls in tree.body:
+            if (isinstance(cls, ast.ClassDef) and cls.name in exported
+                    and _is_dataclass(cls) and cls.name not in ALLOWED_FIELDS):
+                unread += [f"{path.stem}.{cls.name}.{f.target.id}" for f in cls.body
+                           if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
+                           and f.target.id not in attrs]
+    assert not unread, "never read in src/blpcs or bench/: " + ", ".join(unread)
