@@ -19,7 +19,6 @@ the tests that check those claims (``tests/oracles.py``).
 """
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -27,23 +26,11 @@ from .errors import LinearityError
 from .solvers import two_step_decode
 
 __all__ = [
-    "EncryptionOracle",
     "AttackReport",
     "cpa_recover_matrix",
     "cpa_break_and_decode",
     "proximity_scatter",
 ]
-
-
-@dataclass
-class EncryptionOracle:
-    """Black-box encoder the attacker may query with arbitrary plaintexts."""
-
-    encode: Callable[[np.ndarray], np.ndarray]
-    M: int
-
-    def __call__(self, x):
-        return np.asarray(self.encode(np.asarray(x, dtype=float)))
 
 
 @dataclass
@@ -56,29 +43,29 @@ class AttackReport:
 _SPOT_CHECKS = 2
 
 
-def cpa_recover_matrix(oracle, stream):
-    """Recover the equivalent matrix of a linear oracle column by column.
+def cpa_recover_matrix(encode, M, stream):
+    """Recover the equivalent matrix of a linear encoder column by column.
 
-    Queries the canonical basis vectors e_1 .. e_M (M queries); each reply
-    is one matrix column.  Two extra random queries, drawn from ``stream``,
-    verify the oracle really is linear; a mismatch raises
-    :class:`LinearityError`.
+    ``encode`` is the black-box encoder the attacker may query with any
+    length-M plaintext.  Queries the canonical basis vectors e_1 .. e_M
+    (M queries); each reply is one matrix column.  Two extra random
+    queries, drawn from ``stream``, verify the encoder really is linear; a
+    mismatch raises :class:`LinearityError`.
     """
-    M = oracle.M
     e = np.zeros(M)
     cols = []
     for j in range(M):
         e[:] = 0.0
         e[j] = 1.0
-        cols.append(oracle(e))
+        cols.append(encode(e))
     R = np.stack(cols, axis=1)
     for _ in range(_SPOT_CHECKS):
         x = stream.gaussian(M)
-        ref = oracle(x)
+        ref = encode(x)
         err = np.linalg.norm(ref - R @ x)
         if err > 1e-9 * max(np.linalg.norm(ref), 1e-30):
             raise LinearityError(
-                f"oracle is not linear: superposition mismatch {err:.3e}")
+                f"encoder is not linear: superposition mismatch {err:.3e}")
     return AttackReport(recovered_matrix=R, queries_used=M + _SPOT_CHECKS)
 
 
@@ -102,23 +89,23 @@ def cpa_break_and_decode(recovered, c, public_basis=None):
 _SCATTER_PAIRS = 200
 
 
-def proximity_scatter(oracle, stream):
+def proximity_scatter(encode, M, stream):
     """Plaintext versus ciphertext Euclidean distances under matrix reuse.
 
-    With a fixed linear encoder, nearby plaintexts produce nearby
-    ciphertexts, so an observer with a few known pairs learns when a new
-    ciphertext is close to a known plaintext.  Returns an array of
+    ``encode`` maps length-M plaintexts to ciphertexts.  With a fixed
+    linear encoder, nearby plaintexts produce nearby ciphertexts, so an
+    observer with a few known pairs learns when a new ciphertext is close
+    to a known plaintext.  Returns an array of
     (plaintext_distance, ciphertext_distance) rows over random pairs at
     assorted separations; the relation is qualitative, no threshold is
     attached.
     """
     rows = []
-    M = oracle.M
     for _ in range(_SCATTER_PAIRS):
         x1 = stream.gaussian(M)
         x2 = x1 + stream.gaussian(M) * stream.uniform()
         d_plain = float(np.linalg.norm(x1 - x2))
-        d_cipher = float(np.linalg.norm(oracle(x1) - oracle(x2)))
+        d_cipher = float(np.linalg.norm(encode(x1) - encode(x2)))
         rows.append((d_plain, d_cipher))
     return np.array(rows)
 

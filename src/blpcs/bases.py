@@ -206,10 +206,12 @@ class SecretBasisSpec:
     """Composition recipe for a key-dependent sparsifying basis.
 
     The basis is Psi_K = Psi P D Q where Psi is the fractional cosine basis
-    of order alpha (and beta along the second axis when two_d is set),
-    P permutes columns, D = diag(1/d_j) scales them and Q applies the column
-    mixes.  ``region`` indexes the coefficient positions the mixes may touch
-    as a group.
+    of order alpha, P permutes columns, D = diag(1/d_j) scales them and Q
+    applies the column mixes (j, k, a, b).  Without ``beta`` the basis acts
+    on length-n signals; with ``beta`` it acts on n x n images, stored as
+    column-stacked vectors of length n^2, with order alpha along the first
+    axis and beta along the second.  ``perm``, ``scale`` and ``mixes`` index
+    those n or n^2 coefficients; a step left unset is skipped.
     """
 
     n: int
@@ -218,8 +220,6 @@ class SecretBasisSpec:
     perm: Permutation | None = None
     scale: np.ndarray | None = None
     mixes: list = field(default_factory=list)
-    region: np.ndarray | None = None
-    two_d: bool = False
 
 
 def build_secret_basis(spec):
@@ -229,12 +229,13 @@ def build_secret_basis(spec):
     the fractional cosine analysis, then P^T, then the column scaling
     (coefficients divide by 1/d_j), then the mix update.  ``inverse`` is
     Psi_K (coefficients to signal) and undoes the same steps in reverse.
-    Steps the spec leaves unset are skipped.
+    Steps the spec leaves unset are skipped.  The spec's mixes are taken as
+    given: each must join two distinct coefficients with a non-zero factor
+    a; which coefficients may be mixed is the key's choice
+    (:meth:`blpcs.cipher.BlpKey.basis_spec`).
     """
     n = spec.n
-    if spec.two_d:
-        if spec.beta is None:
-            raise ValueError("2-D basis needs both fractional orders")
+    if spec.beta is not None:
         Ra, Rb = rpfrct_matrix(n, spec.alpha), rpfrct_matrix(n, spec.beta)
         size = n * n
 
@@ -273,10 +274,6 @@ def build_secret_basis(spec):
             raise ValueError("mix factor a must be non-zero")
         if j == k or not (0 <= j < size and 0 <= k < size):
             raise ValueError(f"invalid mix pair ({j}, {k})")
-        if spec.region is not None:
-            inside = np.isin([j, k], spec.region)
-            if inside[0] != inside[1]:
-                raise ValueError(f"mix pair ({j}, {k}) crosses the region boundary")
 
     def forward(x):
         s = analysis(x)

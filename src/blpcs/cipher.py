@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bases import SecretBasisSpec, build_secret_basis, corner_region_1d, corner_region_2d
-from .errors import FormatError
+from .errors import FormatError, GuardError
 from .keyrand import derive_stream
 from .solvers import two_step_decode
 
@@ -41,7 +41,12 @@ __all__ = [
 ]
 
 _MEAS_MAGIC = b"BLPY"
-_KEY_FIELDS = ("seed", "M", "sr", "alpha", "beta", "dmax", "mix_region", "mix_count")
+# the fields of a key file, in file order, each with the type it parses to
+_KEY_FIELDS = {"seed": int, "M": int, "sr": float, "alpha": float, "beta": float,
+               "dmax": int, "mix_region": float, "mix_count": int}
+# the largest M: 8 times the paper's 512-pixel side, where one M x M float64
+# frame takes 128 MiB
+_MAX_M = 4096
 
 
 @dataclass
@@ -82,9 +87,13 @@ class BlpKey:
     def basis_spec(self, two_d=False, scramble=True):
         """Derive the secret-basis recipe (permutation, scaling, mixes).
 
-        With ``scramble=False`` the permutation is left out, which is the
-        baseline model the scrambled pipeline is compared against; the other
-        draws are unaffected because each comes from its own labeled stream.
+        ``two_d`` gives the image basis (order beta along the second axis)
+        in place of the length-M one.  Both ends of every mix are drawn
+        from the permuted corner region, so no mix joins a significant
+        coefficient to an insignificant one.  With ``scramble=False`` the
+        permutation is left out, which is the baseline model the scrambled
+        pipeline is compared against; the other draws are unaffected because
+        each comes from its own labeled stream.
         """
         ck = ("spec", two_d, scramble)
         if ck in self._cache:
@@ -109,8 +118,7 @@ class BlpKey:
                 b = (0.5 + 1.5 * u[2]) * (1.0 if u[3] < 0.5 else -1.0)
                 mixes.append((j, k, a, b))
         spec = SecretBasisSpec(n=self.M, alpha=self.alpha, beta=self.beta if two_d else None,
-                               perm=perm, scale=scale, mixes=mixes,
-                               region=region, two_d=two_d)
+                               perm=perm, scale=scale, mixes=mixes)
         self._cache[ck] = spec
         return spec
 
@@ -123,12 +131,19 @@ class BlpKey:
 
 
 def keygen(seed, M, sr, alpha, beta=1.0, dmax=60, mix_count=0, mix_region=0.25):
-    """Validate parameters and build a :class:`BlpKey`."""
+    """Validate parameters and build a :class:`BlpKey`.
+
+    M above 4096 raises :class:`GuardError`, before any caller sizes an
+    M x M frame from the key.
+    """
     seed = int(seed)
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     if M < 2 or M % 2 != 0:
         raise ValueError("signal length M must be even and >= 2")
+    if M > _MAX_M:
+        raise GuardError(f"M={M} exceeds the {_MAX_M} bound on the signal length "
+                         f"and image side")
     if not 0.0 < sr <= 1.0:
         raise ValueError("sampling rate must be in (0, 1]")
     alpha, beta = float(alpha), float(beta)
@@ -244,18 +259,9 @@ def drpe_cs_encode(Phi, masks, x):
 
 def write_key_file(key, path):
     """Serialize the key parameters as text lines with LF endings."""
-    lines = [
-        f"seed={key.seed}",
-        f"M={key.M}",
-        f"sr={key.sr!r}",
-        f"alpha={key.alpha!r}",
-        f"beta={key.beta!r}",
-        f"dmax={key.dmax}",
-        f"mix_region={key.mix_region!r}",
-        f"mix_count={key.mix_count}",
-    ]
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(f"{name}={kind(getattr(key, name))!r}\n"
+                      for name, kind in _KEY_FIELDS.items())
 
 
 def read_key_file(path):
@@ -282,11 +288,7 @@ def read_key_file(path):
     if missing:
         raise FormatError(f"{path}: missing key fields: {', '.join(missing)}")
     try:
-        return keygen(seed=int(values["seed"]), M=int(values["M"]),
-                      sr=float(values["sr"]), alpha=float(values["alpha"]),
-                      beta=float(values["beta"]), dmax=int(values["dmax"]),
-                      mix_count=int(values["mix_count"]),
-                      mix_region=float(values["mix_region"]))
+        return keygen(**{name: kind(values[name]) for name, kind in _KEY_FIELDS.items()})
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 

@@ -15,8 +15,7 @@ import time
 
 import numpy as np
 
-from .attacks import (EncryptionOracle, cpa_break_and_decode, cpa_recover_matrix,
-                      proximity_scatter)
+from .attacks import cpa_break_and_decode, cpa_recover_matrix, proximity_scatter
 from .bases import (SecretBasisSpec, best_s_term, build_secret_basis, dct_matrix,
                     rpfrct_matrix)
 from .cipher import (blp_encode, drpe_cs_encode, drpe_masks, keygen, read_key_file,
@@ -25,7 +24,8 @@ from .cipher import (blp_encode, drpe_cs_encode, drpe_masks, keygen, read_key_fi
 from .ensembles import antipodal_scaled_matrix, gaussian_matrix
 from .errors import FormatError, GuardError
 from .imaging import (ChannelModel, apply_channel, apsnr_db, columnwise_decode,
-                      columnwise_encode, load_pgm, make_test_image, psnr, save_pgm)
+                      columnwise_encode, energy_ratio, load_pgm, make_test_image, psnr,
+                      save_pgm)
 from .keyrand import derive_stream
 from .solvers import ista_bpdn, two_step_decode
 
@@ -114,7 +114,7 @@ def run_sterm():
     vec = image.flatten(order="F")
 
     def s_term_psnr(alpha, beta):
-        forward, inverse = build_secret_basis(SecretBasisSpec(n, alpha, beta, two_d=True))
+        forward, inverse = build_secret_basis(SecretBasisSpec(n, alpha, beta))
         rec = inverse(best_s_term(forward(vec), s)).reshape((n, n), order="F")
         return psnr(image, np.clip(rec, 0, 255))
 
@@ -131,10 +131,6 @@ def run_sterm():
 # ---------------------------------------------------------------------------
 # experiments: image sampling tables
 
-def _image_ratio(img, rec):
-    return img.size * 255.0**2 / float(np.sum((img - rec) ** 2))
-
-
 _TABLE_SRS = (0.1, 0.3, 0.5, 0.7)
 
 
@@ -144,6 +140,9 @@ def run_table(seed, which, trials=10, n=512, alpha=0.99, beta=0.95, dmax=16,
     noisy/lossy channels) on the stand-in image."""
     if trials < 1:
         raise ValueError(f"a table needs at least one trial, got {trials}")
+    # the keys check the side before the image of that side is drawn
+    keys = {sr: [keygen(seed + t, n, sr, alpha, beta, dmax=dmax) for t in range(trials)]
+            for sr in _TABLE_SRS}
     img = make_test_image(n)
     if which == "table1":
         variants = [("blp-cs", "ideal", 0.0), ("bcs-in", "ideal", 0.0)]
@@ -153,12 +152,12 @@ def run_table(seed, which, trials=10, n=512, alpha=0.99, beta=0.95, dmax=16,
                     ("blp-cs", "packet_loss", 0.3)]
     rows = []
     for sr in _TABLE_SRS:
-        keys = [keygen(seed + t, n, sr, alpha, beta, dmax=dmax) for t in range(trials)]
+        sr_keys = keys.pop(sr)  # a finished rate's keys free their derived matrices
         encoded = {}
         for model, channel, plr in variants:
             t0 = time.monotonic()
             ratios = []
-            for t, key in enumerate(keys):
+            for t, key in enumerate(sr_keys):
                 ck = (t, model)
                 if ck not in encoded:
                     encoded[ck] = columnwise_encode(key, img, scramble=model == "blp-cs")
@@ -169,7 +168,7 @@ def run_table(seed, which, trials=10, n=512, alpha=0.99, beta=0.95, dmax=16,
                     cs = derive_stream(seed, f"{which}/chan/{sr}/{channel}/{plr}/{t}")
                     Y = apply_channel(Y, cm, cs)
                 rec = columnwise_decode(key, Y, scramble=model == "blp-cs")
-                ratios.append(_image_ratio(img, rec))
+                ratios.append(energy_ratio(img, rec))
             seconds = time.monotonic() - t0 if timings else 0.0
             rows.append(("standin", f"{sr:g}", model, channel, f"{plr:g}",
                          f"{apsnr_db(ratios):.3f}", f"{seconds:.3f}"))
@@ -193,8 +192,8 @@ def _attack_key(seed):
 
 
 def _attack_target(name, st, key_seed):
-    """The encryption oracle of one target, the map from sparse coefficients
-    to a plaintext, and the attacker's public basis (None for the identity).
+    """The encoder of one target, the map from sparse coefficients to a
+    plaintext, and the attacker's public basis (None for the identity).
 
     The baselines draw their secrets from ``st``; the bi-level key is
     derived from ``key_seed``.
@@ -204,32 +203,30 @@ def _attack_target(name, st, key_seed):
         key = _attack_key(key_seed)
         _, inverse = key.basis()
         public_basis = rpfrct_matrix(M, 1.0)  # order-1 family guess, no key
-        return EncryptionOracle(lambda x: blp_encode(key, x), M), inverse, public_basis
+        return lambda x: blp_encode(key, x), inverse, public_basis
     Phi = gaussian_matrix(st, K, M)
     if name == "drpe":
         masks = drpe_masks(st, math.isqrt(K))
-        return EncryptionOracle(lambda x: drpe_cs_encode(Phi, masks, x), M), lambda s: s, None
+        return lambda x: drpe_cs_encode(Phi, masks, x), lambda s: s, None
     C = dct_matrix(M)
     if name == "class1":
         P_K = st.permutation(K)
-        oracle = EncryptionOracle(lambda x: scramble_measurements_encode(Phi, P_K, x), M)
-    else:
-        P_M = st.permutation(M)
-        oracle = EncryptionOracle(
-            lambda x: scramble_frequency_encode(Phi, P_M, lambda v: C.T @ v, x), M)
-    return oracle, lambda s: C @ s, C
+        return lambda x: scramble_measurements_encode(Phi, P_K, x), lambda s: C @ s, C
+    P_M = st.permutation(M)
+    return (lambda x: scramble_frequency_encode(Phi, P_M, lambda v: C.T @ v, x),
+            lambda s: C @ s, C)
 
 
 def _attack_row(seed, name, t):
     """Recover the target's matrix, encrypt a sparse plaintext, break it."""
     M, K, k = _ATTACK_SIZES[name]
     st = derive_stream(seed, f"attack/{name}/{t}")
-    oracle, synthesize, public_basis = _attack_target(name, st, seed + 7000 + t)
-    report = cpa_recover_matrix(oracle, stream=st)
+    encode, synthesize, public_basis = _attack_target(name, st, seed + 7000 + t)
+    report = cpa_recover_matrix(encode, M, stream=st)
     s_true = np.zeros(M)
     s_true[st.subset(M, k)] = st.gaussian(k)
     x_true = synthesize(s_true)
-    est = cpa_break_and_decode(report.recovered_matrix, oracle(x_true),
+    est = cpa_break_and_decode(report.recovered_matrix, encode(x_true),
                                public_basis=public_basis)
     rel = _rel_error(est, x_true)
     return (name, t, M, K, k, report.queries_used, str(rel < 1e-3).lower(), f"{rel:.6e}")
@@ -284,8 +281,8 @@ def _cmd_attack(args):
     _write_csv(args.out, header, rows)
     if args.scatter:
         key = _attack_key(args.seed)
-        oracle = EncryptionOracle(lambda x: blp_encode(key, x), key.M)
-        pts = proximity_scatter(oracle, derive_stream(args.seed, "attack/scatter"))
+        pts = proximity_scatter(lambda x: blp_encode(key, x), key.M,
+                                derive_stream(args.seed, "attack/scatter"))
         _write_csv(args.scatter, ["plain_dist", "cipher_dist"],
                    [(f"{a:.6e}", f"{b:.6e}") for a, b in pts])
     return 0

@@ -31,6 +31,7 @@ __all__ = [
     "acceptable_permutation_stats",
     "columnwise_encode",
     "columnwise_decode",
+    "energy_ratio",
     "psnr",
     "apsnr_db",
     "apply_channel",
@@ -207,33 +208,29 @@ def columnwise_encode(key, image, scramble=True):
 def columnwise_decode(key, Y, scramble=True):
     """Parallel per-column sparse recovery, then the inverse secret basis.
 
-    Columns are independent given the shared sensing matrix; a column with
-    NaN entries (measurements not received) is solved against its received
-    rows only.  The sparse solve runs float32 iterations and a float64
-    refit: :func:`~blpcs.solvers.ista_bpdn_batch` (the fixed FISTA
-    schedule, no refit) on float32 copies of the sensing matrix and
-    measurements, then :func:`~blpcs.solvers.debias` against the float64
-    ones: a float64 least-squares refit of every column on its support,
-    solved as stacked normal equations in blocks of about 1 MiB.  The
-    result is clamped to [0, 255].
+    Columns are independent given the shared sensing matrix.  The
+    measurements go to the solvers as they are: a NaN entry (a measurement
+    not received) keeps its row out of that column's fit.  The sparse solve
+    runs float32 iterations and a float64 refit:
+    :func:`~blpcs.solvers.ista_bpdn_batch` (the fixed FISTA schedule, no
+    refit) on float32 copies of the sensing matrix and measurements, then
+    :func:`~blpcs.solvers.debias` against the float64 ones: a float64
+    least-squares refit of every column on its support, solved as stacked
+    normal equations in blocks of about 1 MiB.  The result is clamped to
+    [0, 255].
     """
     Y = np.asarray(Y, dtype=float)
     if Y.shape != (key.K, key.M):
         raise ValueError(f"measurements of shape {Y.shape} do not match the key's "
                          f"{(key.K, key.M)}")
-    mask = ~np.isnan(Y)
-    if mask.all():
-        mask = None
-    else:
-        Y = np.where(mask, Y, 0.0)
     A = key.sensing_matrix()
-    if key.K == key.M and mask is None:
+    if key.K == key.M and not np.isnan(Y).any():
         Shat = np.linalg.solve(A, Y)  # full-rate sampling is plainly invertible
     else:
         # the output is rounded to 8-bit pixels, far coarser than the float32
         # rounding of the iterations; the refit on the support stays float64
-        S = ista_bpdn_batch(A.astype(np.float32), Y.astype(np.float32), mask)
-        Shat = debias(A, Y, S.astype(float), mask)
+        S = ista_bpdn_batch(A.astype(np.float32), Y.astype(np.float32))
+        Shat = debias(A, Y, S.astype(float))
     _, inverse = key.basis(two_d=True, scramble=scramble)
     n = key.M
     image = inverse(Shat.flatten(order="F")).reshape((n, n), order="F")
@@ -243,8 +240,8 @@ def columnwise_decode(key, Y, scramble=True):
 # ---------------------------------------------------------------------------
 # metrics and channels
 
-def psnr(reference, test):
-    """Peak signal-to-noise ratio in dB against 8-bit full scale.
+def energy_ratio(reference, test):
+    """Full-scale energy over error energy, size * 255^2 / ||reference - test||^2.
 
     Identical images return float('inf').
     """
@@ -255,7 +252,13 @@ def psnr(reference, test):
     err = float(np.sum((reference - test) ** 2))
     if err == 0.0:
         return float("inf")
-    return 10.0 * np.log10(reference.size * 255.0**2 / err)
+    return reference.size * 255.0**2 / err
+
+
+def psnr(reference, test):
+    """Peak signal-to-noise ratio in dB against 8-bit full scale: the log of
+    :func:`energy_ratio`, so identical images return float('inf')."""
+    return 10.0 * np.log10(energy_ratio(reference, test))
 
 
 def apsnr_db(ratios):

@@ -8,9 +8,9 @@ Three routes with different regimes and guarantees:
 * :func:`ista_bpdn_batch` -- l1-regularized least squares by monotone FISTA
   (soft thresholding with Beck-Teboulle momentum, reset at each stage of a
   fixed lambda continuation), used for compressible signals such as image
-  columns: many columns against one matrix, optionally with per-column
-  measurement masks, in float32 when given float32 inputs and in float64
-  otherwise; :func:`debias` refits its estimate by least squares on each
+  columns: many columns against one matrix, a NaN in the measurements
+  marking a row lost from its column, in float32 when given float32
+  inputs and in float64 otherwise; :func:`debias` refits its estimate by least squares on each
   column's support, always in float64, solving the normal equations of
   many columns at once in blocks of bounded memory, and :func:`ista_bpdn`
   is the float64 single-vector solve with that refit;
@@ -167,14 +167,14 @@ def _lam_floor(ratio):
     return float(min(_LAM_HI, max(adaptive, _LAM_LO)))
 
 
-def ista_bpdn_batch(A, Y, mask=None, *, obj_trace=None):
+def ista_bpdn_batch(A, Y, *, obj_trace=None):
     """Solve min 0.5||y - A s||^2 + lambda ||s||_1 for every column of Y.
 
     All columns share A, so the iteration runs as dense matrix products.
-    ``mask`` (0/1, same shape as Y) marks surviving measurements; masked-out
-    rows take no part in the fit, which is exactly the subsetted-rows
-    problem of packet-loss decoding.  Returns the estimate matrix, without
-    a refit: :func:`debias` is the least-squares refit on the support.
+    A NaN in Y marks a measurement that was lost: its row takes no part in
+    that column's fit, which is exactly the subsetted-rows problem of
+    packet-loss decoding.  Returns the estimate matrix, without a refit:
+    :func:`debias` is the least-squares refit on the support.
 
     The iteration runs in the floating dtype of the inputs,
     ``np.result_type(A, Y, np.float32)``: float32 ``A`` and ``Y`` give
@@ -210,12 +210,13 @@ def ista_bpdn_batch(A, Y, mask=None, *, obj_trace=None):
     L = _spectral_norm_sq(A)
     if L == 0.0:
         return np.zeros((M, ncol), dtype)
-    if mask is not None:
-        mask = np.asarray(mask, dtype=dtype)
-        Y = Y * mask
+    lost = np.isnan(Y)
+    mask = None
+    rows = np.full(ncol, float(K))
+    if lost.any():
+        mask = (~lost).astype(dtype)
+        Y = np.where(lost, dtype.type(0), Y)
         rows = mask.sum(axis=0, dtype=float)
-    else:
-        rows = np.full(ncol, float(K))
     corr = np.abs(A.T @ Y).max(axis=0).astype(float)
     corr[corr == 0] = 1.0
     lam_lo = np.array([_lam_floor(r / M) for r in rows])
@@ -223,7 +224,7 @@ def ista_bpdn_batch(A, Y, mask=None, *, obj_trace=None):
     # the kept iterate before it, the other end of the momentum step (after a
     # rejected step they hold the rejected one, which beta = 0 leaves out)
     S = np.zeros((M, ncol), dtype)
-    RS = Y.copy()  # Y is already masked
+    RS = Y.copy()  # the lost rows of Y are already zero
     S_old = np.zeros((M, ncol), dtype)
     RS_old = Y.copy()
     # work buffers, so that the iteration allocates nothing of matrix size
@@ -284,14 +285,14 @@ def ista_bpdn_batch(A, Y, mask=None, *, obj_trace=None):
 _DEBIAS_BLOCK_BYTES = 1 << 20
 
 
-def debias(A, Y, S, mask=None):
+def debias(A, Y, S):
     """Least-squares refit of each column of S on its own support, in place.
 
     Column j of S is replaced by the least-squares fit of ``Y[:, j]`` on the
     columns of A that its nonzeros select, using only the rows where
-    ``mask`` (0/1, same shape as Y) is set.  A column with an empty support,
-    or a support larger than half its surviving rows, is left as it is.
-    Returns S.
+    ``Y[:, j]`` is not NaN (a NaN marks a lost measurement).  A column with
+    an empty support, or a support larger than half its surviving rows, is
+    left as it is.  Returns S.
 
     The fit is always float64, whatever the dtype of A and Y, and is stored
     in the dtype of S.  It solves the normal equations of many columns at
@@ -306,7 +307,8 @@ def debias(A, Y, S, mask=None):
     A = np.asarray(A, dtype=float)
     Y = np.asarray(Y, dtype=float)
     K = A.shape[0]
-    live = None if mask is None else np.asarray(mask) != 0
+    lost = np.isnan(Y)
+    live = ~lost if lost.any() else None
     sizes = np.count_nonzero(S, axis=0)
     rows = np.full(S.shape[1], K) if live is None else np.count_nonzero(live, axis=0)
     cols = np.flatnonzero((sizes > 0) & (2 * sizes <= rows))
@@ -340,12 +342,12 @@ def debias(A, Y, S, mask=None):
     return S
 
 
-def ista_bpdn(A, y, obj_trace=None):
+def ista_bpdn(A, y):
     """Single-vector solve in float64: :func:`ista_bpdn_batch`, then
     :func:`debias`.  Returns the estimate vector."""
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float).ravel()[:, None]
-    S = ista_bpdn_batch(A, y, obj_trace=obj_trace)
+    S = ista_bpdn_batch(A, y)
     return debias(A, y, S)[:, 0]
 
 

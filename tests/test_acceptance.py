@@ -133,8 +133,7 @@ def test_criterion_6_basis_property_suite():
                   (0.5 + 1.5 * st.uniform()) * (1 if st.uniform() < 0.5 else -1),
                   (0.5 + 1.5 * st.uniform()) * (1 if st.uniform() < 0.5 else -1))
                  for i in range(4)]
-        spec = SecretBasisSpec(n=M, alpha=0.97, perm=perm, scale=scale,
-                               mixes=mixes, region=region)
+        spec = SecretBasisSpec(n=M, alpha=0.97, perm=perm, scale=scale, mixes=mixes)
         fwd, _ = build_secret_basis(spec)
         _, plain_inv = build_secret_basis(SecretBasisSpec(n=M, alpha=0.97))
         if t % 2 == 0:

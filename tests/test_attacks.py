@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from blpcs.attacks import EncryptionOracle, cpa_break_and_decode, cpa_recover_matrix
+from blpcs.attacks import cpa_break_and_decode, cpa_recover_matrix
 from blpcs.bases import dct_matrix
 from blpcs.cipher import drpe_cs_encode, drpe_masks, keygen, blp_encode
 from blpcs.errors import GuardError, LinearityError
@@ -18,8 +18,7 @@ from oracles import (bernoulli_single_query_attack, decomposition_ambiguity_chec
 def test_cpa_recovers_plain_matrix_exactly():
     st = derive_stream(1, "p")
     Phi = st.gaussian((12, 30))
-    oracle = EncryptionOracle(lambda x: Phi @ x, 30)
-    rep = cpa_recover_matrix(oracle, st)
+    rep = cpa_recover_matrix(lambda x: Phi @ x, 30, st)
     assert rep.queries_used == 30 + 2  # M basis queries and two linearity checks
     assert np.max(np.abs(rep.recovered_matrix - Phi)) < 1e-12
 
@@ -28,8 +27,7 @@ def test_cpa_recovers_scrambled_product():
     st = derive_stream(2, "p")
     Phi = st.gaussian((10, 24))
     P = st.permutation(10)
-    oracle = EncryptionOracle(lambda x: P.apply(Phi @ x), 24)
-    rep = cpa_recover_matrix(oracle, stream=st)
+    rep = cpa_recover_matrix(lambda x: P.apply(Phi @ x), 24, stream=st)
     assert np.max(np.abs(rep.recovered_matrix - np.eye(10)[P.map] @ Phi)) < 1e-12
 
 
@@ -37,16 +35,14 @@ def test_cpa_recovers_drpe_transfer_product():
     st = derive_stream(3, "p")
     masks = drpe_masks(st, 4)
     Phi = st.gaussian((16, 32))
-    oracle = EncryptionOracle(lambda x: drpe_cs_encode(Phi, masks, x), 32)
-    rep = cpa_recover_matrix(oracle, stream=st)
+    rep = cpa_recover_matrix(lambda x: drpe_cs_encode(Phi, masks, x), 32, stream=st)
     want = drpe_transfer_matrix(masks, 4) @ Phi
     assert np.max(np.abs(rep.recovered_matrix - want)) < 1e-9
 
 
 def test_cpa_rejects_nonlinear_oracle():
-    oracle = EncryptionOracle(lambda x: x**2, 8)
     with pytest.raises(LinearityError):
-        cpa_recover_matrix(oracle, stream=derive_stream(4, "c"))
+        cpa_recover_matrix(lambda x: x**2, 8, stream=derive_stream(4, "c"))
 
 
 def test_cpa_break_decodes_baseline_plaintext():
@@ -55,12 +51,14 @@ def test_cpa_break_decodes_baseline_plaintext():
     Phi = st.gaussian((K, M))
     P = st.permutation(K)
     C = dct_matrix(M)
-    oracle = EncryptionOracle(lambda x: P.apply(Phi @ x), M)
-    rep = cpa_recover_matrix(oracle, stream=st)
+    def encode(x):
+        return P.apply(Phi @ x)
+
+    rep = cpa_recover_matrix(encode, M, stream=st)
     s = np.zeros(M)
     s[st.subset(M, k)] = st.gaussian(k)
     x_true = C @ s
-    est = cpa_break_and_decode(rep.recovered_matrix, oracle(x_true), public_basis=C)
+    est = cpa_break_and_decode(rep.recovered_matrix, encode(x_true), public_basis=C)
     assert np.linalg.norm(est - x_true) < 1e-6 * np.linalg.norm(x_true)
 
 
@@ -68,12 +66,11 @@ def test_cpa_break_fails_against_blp():
     for t in range(3):
         st = derive_stream(60 + t, "blp")
         key = keygen(900 + t, 128, 0.25, 0.99, dmax=60, mix_count=4)
-        oracle = EncryptionOracle(lambda x: blp_encode(key, x), 128)
-        rep = cpa_recover_matrix(oracle, stream=st)
+        rep = cpa_recover_matrix(lambda x: blp_encode(key, x), 128, stream=st)
         s = np.zeros(128)
         s[st.subset(128, 4)] = st.gaussian(4)
         x_true = key.basis()[1](s)
-        est = cpa_break_and_decode(rep.recovered_matrix, oracle(x_true))
+        est = cpa_break_and_decode(rep.recovered_matrix, blp_encode(key, x_true))
         assert np.linalg.norm(est - x_true) > 0.3 * np.linalg.norm(x_true)
 
 

@@ -85,7 +85,7 @@ def test_rpfrct_matches_complex_packing_oracle():
 
 def _plain(n, alpha, beta=None):
     """(forward, inverse) of the fractional cosine basis with no secret steps."""
-    return build_secret_basis(SecretBasisSpec(n, alpha, beta, two_d=beta is not None))
+    return build_secret_basis(SecretBasisSpec(n, alpha, beta))
 
 
 def test_rpfrct2d_identity_and_isometry():
@@ -188,24 +188,18 @@ def test_f3_outside_support_pairs_do_nothing():
 
 
 def test_f3_region_constraint_enforced():
+    # build_secret_basis rejects a mix that is no basis change; that both ends of
+    # a key's mixes lie in one region is the key's to keep, checked by
+    # tests/test_cipher.py::test_basis_spec_mixes_stay_in_the_permuted_corner_region
     n = 12
-    region = np.array([0, 1, 2, 3])
 
-    def build(mixes, region=region):
-        return build_secret_basis(SecretBasisSpec(n, 0.9, mixes=mixes, region=region))
+    def build(mixes):
+        return build_secret_basis(SecretBasisSpec(n, 0.9, mixes=mixes))
 
-    build([(0, 3, 1.0, 1.0)])  # inside: fine
-    build([(6, 9, 1.0, 1.0)])  # outside: fine
-    with pytest.raises(ValueError, match="crosses"):
-        build([(0, 9, 1.0, 1.0)])
+    build([(0, 3, 1.0, 1.0)])
     for bad in ([(0, 3, 0.0, 1.0)], [(3, 3, 1.0, 1.0)], [(0, n, 1.0, 1.0)]):
         with pytest.raises(ValueError):
-            build(bad, region=None)
-
-
-def test_2d_spec_needs_beta():
-    with pytest.raises(ValueError, match="fractional orders"):
-        build_secret_basis(SecretBasisSpec(8, 0.9, two_d=True))
+            build(bad)
 
 
 @pytest.mark.parametrize("beta", [None, 0.8])
@@ -220,7 +214,7 @@ def test_full_spec_is_the_composition_of_its_steps(beta):
     mixes = [(1, 4, 1.5, -0.5), (6, 2, -0.7, 1.2)]
     plain, _ = _plain(n, 0.9, beta)
     fwd, inv = build_secret_basis(SecretBasisSpec(n, 0.9, beta, perm=perm, scale=d,
-                                                  mixes=mixes, two_d=beta is not None))
+                                                  mixes=mixes))
     x = st.gaussian(size)
     want = mix_coefficients(perm.apply_transpose(plain(x)) / (1.0 / d), mixes)
     assert np.array_equal(fwd(x), want)
@@ -255,8 +249,7 @@ def test_build_secret_basis_roundtrip_and_sparsity():
     for t in range(4):
         mixes.append((int(chosen[2 * t]), int(chosen[2 * t + 1]),
                       0.5 + st.uniform(), 0.5 + st.uniform()))
-    spec = SecretBasisSpec(n=M, alpha=0.97, perm=perm, scale=scale,
-                           mixes=mixes, region=region)
+    spec = SecretBasisSpec(n=M, alpha=0.97, perm=perm, scale=scale, mixes=mixes)
     fwd, inv = build_secret_basis(spec)
     x = st.gaussian(M)
     assert np.allclose(inv(fwd(x)), x, atol=1e-8)

@@ -7,7 +7,7 @@ from blpcs.cipher import (BlpKey, DrpeMasks, blp_decode, blp_encode,
                           drpe_cs_encode, drpe_masks, keygen, load_measurements,
                           read_key_file, save_measurements, scramble_frequency_encode,
                           scramble_measurements_encode, write_key_file)
-from blpcs.bases import dct_matrix
+from blpcs.bases import corner_region_1d, corner_region_2d, dct_matrix
 from blpcs.errors import FormatError, GuardError
 from blpcs.keyrand import Permutation, derive_stream
 from blpcs.solvers import two_step_decode
@@ -58,6 +58,27 @@ def test_keygen_deterministic_and_seed_sensitive():
     assert np.array_equal(k1.basis_spec().perm.map, k2.basis_spec().perm.map)
     k3 = keygen(2, 64, 0.5, 0.99, 0.95, dmax=8)
     assert not np.array_equal(k1.sensing_matrix(), k3.sensing_matrix())
+
+
+@pytest.mark.parametrize("scramble", [False, True])
+@pytest.mark.parametrize("two_d", [False, True])
+def test_basis_spec_mixes_stay_in_the_permuted_corner_region(two_d, scramble):
+    # both ends of every mix lie in the corner region of the significant
+    # coefficients, moved by the key's permutation when it scrambles, so a
+    # mix never joins a significant coefficient to an insignificant one
+    M, half = 16, 8
+    for seed in range(1, 9):
+        for mix_region, mix_count in ((0.25, 2), (0.5, 3)):
+            key = keygen(seed, M, 0.5, 0.99, 0.95, mix_count=mix_count,
+                         mix_region=mix_region)
+            spec = key.basis_spec(two_d=two_d, scramble=scramble)
+            side = round(mix_region * half)
+            region = corner_region_2d(M, side) if two_d else corner_region_1d(M, side)
+            if scramble:
+                region = spec.perm.map[region]
+            assert len(spec.mixes) == mix_count
+            for j, k, _, _ in spec.mixes:
+                assert j != k and j in region and k in region
 
 
 def test_key_file_roundtrip_byte_identical(tmp_path):

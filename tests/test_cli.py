@@ -185,19 +185,53 @@ def test_malformed_inputs_exit_3(tmp_path):
 
 
 def test_decode_rejects_a_header_only_file_before_sizing_the_array(tmp_path, capsys):
-    # K = n = 2**23: the K x n array would take 512 TiB, more than any 64-bit
-    # user address space, so a reader that trusted the header would fail
-    # with an allocation error rather than the format error
+    # K = n = 4096, the largest side a key allows: a reader that trusted the
+    # header would allocate a 128 MiB K x n array before finding no packets
     key = tmp_path / "big.key"
-    key.write_text("seed=1\nM=8388608\nsr=1.0\nalpha=0.99\nbeta=0.95\ndmax=16\n"
+    key.write_text("seed=1\nM=4096\nsr=1.0\nalpha=0.99\nbeta=0.95\ndmax=16\n"
                    "mix_region=0.25\nmix_count=0\n")
     meas = tmp_path / "m.blpy"
-    meas.write_bytes(b"BLPY" + np.array([2**23, 2**23], dtype="<u4").tobytes())
+    meas.write_bytes(b"BLPY" + np.array([4096, 4096], dtype="<u4").tobytes())
     out = tmp_path / "r.pgm"
     rc = cli.main(["decode", "--key", str(key), "--in", str(meas), "--out", str(out)])
     err = capsys.readouterr().err.splitlines()
     assert rc == 3 and not out.exists()
     assert len(err) == 1 and "truncated packet header" in err[0]
+
+
+def test_keygen_bounds_the_side(tmp_path, capsys):
+    # one M x M float64 frame past the bound would take more than 128 MiB;
+    # 4096 itself is allowed
+    out = tmp_path / "k.key"
+    rc = cli.main(["keygen", "--seed", "1", "--n", "8388608", "--sr", "1.0",
+                   "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 4 and not out.exists()
+    assert len(err) == 1 and "4096" in err[0]
+    assert cli.main(["keygen", "--seed", "1", "--n", "4096", "--sr", "1.0",
+                     "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("argv", [["exp", "table1", "--n", "1048576"],
+                                  ["exp", "table2", "--n", "1048576"]])
+def test_exp_table_bounds_the_side_before_drawing_the_image(tmp_path, capsys, argv):
+    out = tmp_path / "t.csv"
+    assert cli.main(argv + ["--trials", "1", "--out", str(out)]) == 4
+    assert not out.exists()
+    assert "4096" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["encode", "decode"])
+def test_a_key_file_past_the_side_bound_exits_4(tmp_path, capsys, command):
+    key = tmp_path / "big.key"
+    key.write_text("seed=1\nM=8388608\nsr=1.0\nalpha=0.99\nbeta=0.95\ndmax=16\n"
+                   "mix_region=0.25\nmix_count=0\n")
+    inp = tmp_path / "in"
+    inp.write_bytes(b"")
+    out = tmp_path / "out"
+    rc = cli.main([command, "--key", str(key), "--in", str(inp), "--out", str(out)])
+    assert rc == 4 and not out.exists()
+    assert "4096" in capsys.readouterr().err
 
 
 def test_guard_errors_exit_4(tmp_path, monkeypatch):

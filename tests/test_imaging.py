@@ -112,7 +112,7 @@ def _sparse_test_setup(n=64, seed=11):
     cols = st.subset(h - 1, 10) + 1
     for r, c in zip(rows, cols):
         T[r, c] = 100.0 * (st.uniform() - 0.5)
-    _, inverse = build_secret_basis(SecretBasisSpec(n, 1.0, 1.0, two_d=True))
+    _, inverse = build_secret_basis(SecretBasisSpec(n, 1.0, 1.0))
     image = inverse(T.flatten(order="F")).reshape((n, n), order="F")
     assert image.min() >= 0 and image.max() <= 255
     return key, image
@@ -166,7 +166,7 @@ def test_bcs_in_matches_blp_when_sparsity_uniform():
     st = derive_stream(6, "rows")
     T = np.zeros((n, n))
     T[st.integers(0, n, n), np.arange(n)] = 40.0 + 80.0 * st.uniform(n)
-    _, inverse = build_secret_basis(SecretBasisSpec(n, 1.0, 1.0, two_d=True))
+    _, inverse = build_secret_basis(SecretBasisSpec(n, 1.0, 1.0))
     img = inverse(T.flatten(order="F"))
     img = img.reshape((n, n), order="F") + 128.0
     assert img.min() >= 0 and img.max() <= 255

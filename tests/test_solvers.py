@@ -154,17 +154,14 @@ def test_ista_batch_float32_agrees_with_float64_on_a_keyed_image(sr, plr):
     key = keygen(3, 128, sr, 1.0)
     A = key.sensing_matrix()
     Y = columnwise_encode(key, make_test_image(128))
-    mask = None
     if plr:
         Y = apply_channel(Y, ChannelModel("packet_loss", plr=plr), derive_stream(4, "loss"))
-        mask = ~np.isnan(Y)
-        Y = np.where(mask, Y, 0.0)
-    S32 = ista_bpdn_batch(A.astype(np.float32), Y.astype(np.float32), mask)
-    S64 = ista_bpdn_batch(A, Y, mask)
+    S32 = ista_bpdn_batch(A.astype(np.float32), Y.astype(np.float32))
+    S64 = ista_bpdn_batch(A, Y)
     assert S32.dtype == np.float32
     assert np.linalg.norm(S32 - S64) < 1e-5 * np.linalg.norm(S64)
-    refit = debias(A, Y, S32.astype(float), mask)
-    want = debias(A, Y, S64, mask)
+    refit = debias(A, Y, S32.astype(float))
+    want = debias(A, Y, S64)
     assert np.linalg.norm(refit - want) < 1e-5 * np.linalg.norm(want)
 
 
@@ -204,13 +201,15 @@ def test_ista_batch_matches_single():
         assert np.allclose(S[:, j], ista_bpdn(A, Y[:, j]))
 
 
-def _monotone_fista_reference(A, Y, mask=None, obj_trace=None, *, lam_lo=None,
+def _monotone_fista_reference(A, Y, obj_trace=None, *, lam_lo=None,
                               stages=_STAGES, stage_iters=_STAGE_ITERS, tol=_RESIDUAL_TOL):
     """The batched monotone FISTA loop written plainly, with fresh arrays
     each step.  It keeps two residuals, those of the last two kept iterates,
     and forms the momentum point V and its residual R_V from them; it soft
     thresholds as sign(z) * max(|z| - th, 0); a step that raises the summed
-    objective is thrown away, and so is the momentum.
+    objective is thrown away, and so is the momentum.  A NaN in Y marks a
+    lost row of its column, which the 0/1 mask of the surviving rows keeps
+    out of the fit.
 
     The defaults are the shipped schedule.  ``lam_lo`` replaces the adaptive
     floor of every column by one relative lambda; with ``stages=1`` the
@@ -219,11 +218,12 @@ def _monotone_fista_reference(A, Y, mask=None, obj_trace=None, *, lam_lo=None,
     K, M = A.shape
     ncol = Y.shape[1]
     L = _spectral_norm_sq(A)
-    if mask is not None:
-        Y = Y * mask
+    mask = None
+    rows = np.full(ncol, float(K))
+    if np.isnan(Y).any():
+        mask = (~np.isnan(Y)).astype(float)
+        Y = np.nan_to_num(Y)
         rows = mask.sum(axis=0)
-    else:
-        rows = np.full(ncol, float(K))
     corr = np.abs(A.T @ Y).max(axis=0)
     corr[corr == 0] = 1.0
     if lam_lo is None:
@@ -261,24 +261,26 @@ def _monotone_fista_reference(A, Y, mask=None, obj_trace=None, *, lam_lo=None,
     return S
 
 
+def _lose(Y, s, masked):
+    """Y with about 30% of its entries set to NaN (lost) when ``masked``."""
+    return np.where(s.uniform(Y.shape) >= 0.3, Y, np.nan) if masked else Y
+
+
 def _reference_problems(masked):
-    """(A, Y, mask) triples: a small random system, one column of it (the
-    shape ista_bpdn passes), an image-shaped system from a real key, and
-    one direct-l1 problem of the fig1 experiment (seed 1, trial 5); the
-    masks drop about 30% of the measurements, except on the fig1 problem,
-    which like fig1 itself keeps every row (its stopping test fires at
-    iteration 77)."""
+    """(A, Y) pairs: a small random system, one column of it (the shape
+    ista_bpdn passes), an image-shaped system from a real key, and one
+    direct-l1 problem of the fig1 experiment (seed 1, trial 5); NaN marks
+    about 30% of the measurements lost, except on the fig1 problem, which
+    like fig1 itself keeps every row (its stopping test fires at iteration
+    77)."""
     s = derive_stream(12, "ref")
     A = s.gaussian((30, 80))
-    Y = s.gaussian((30, 6))
-    mask = (s.uniform((30, 6)) >= 0.3).astype(float) if masked else None
-    yield A, Y, mask
-    yield A, Y[:, [0]], None if mask is None else mask[:, [0]]
+    Y = _lose(s.gaussian((30, 6)), s, masked)
+    yield A, Y
+    yield A, Y[:, [0]]
     key = keygen(3, 128, 0.3, 1.0)
-    Y = columnwise_encode(key, make_test_image(128))
-    mask = (s.uniform(Y.shape) >= 0.3).astype(float) if masked else None
-    yield key.sensing_matrix(), Y, mask
-    yield *_fig1_problem(1, 5), None
+    yield key.sensing_matrix(), _lose(columnwise_encode(key, make_test_image(128)), s, masked)
+    yield _fig1_problem(1, 5)
 
 
 def _fig1_problem(seed, trial):
@@ -296,10 +298,10 @@ def test_ista_batch_matches_two_residual_reference(masked):
     # the problems cover both early exits of a stage: a stopping test that
     # fires, and a rejected step (the trace repeats the kept objective)
     stopped = rejected = False
-    for A, Y, mask in _reference_problems(masked):
+    for A, Y in _reference_problems(masked):
         want_trace, got_trace = [], []
-        want = _monotone_fista_reference(A, Y, mask, obj_trace=want_trace)
-        got = ista_bpdn_batch(A, Y, mask, obj_trace=got_trace)
+        want = _monotone_fista_reference(A, Y, obj_trace=want_trace)
+        got = ista_bpdn_batch(A, Y, obj_trace=got_trace)
         assert np.array_equal(got, want)
         assert got_trace == want_trace
         assert len(got_trace) <= _STAGES * _STAGE_ITERS
@@ -341,22 +343,20 @@ def test_ista_batch_mask_equals_row_subset():
     A = s.gaussian((24, 40))
     y = s.gaussian(24)
     keep = s.uniform(24) > 0.3
-    mask = keep.astype(float)[:, None]
     fixed = dict(lam_lo=0.05, stages=1, stage_iters=4000, tol=1e-16)
-    S_masked = _monotone_fista_reference(A, (y * keep)[:, None], mask, **fixed)
+    S_masked = _monotone_fista_reference(A, np.where(keep, y, np.nan)[:, None], **fixed)
     S_sub = _monotone_fista_reference(A[keep], y[keep][:, None], **fixed)
     assert np.allclose(S_masked[:, 0], S_sub[:, 0], atol=1e-5)
 
 
-def _lstsq_debias_reference(A, Y, S, mask=None):
-    """The refit one column at a time, each by an SVD least-squares solve."""
+def _lstsq_debias_reference(A, Y, S):
+    """The refit one column at a time, each by an SVD least-squares solve
+    on the rows where Y is not NaN."""
     A = np.asarray(A)
     Y = np.asarray(Y)
-    if mask is not None:
-        mask = np.asarray(mask)
     for j in range(S.shape[1]):
         sup = np.flatnonzero(S[:, j])
-        live = np.arange(A.shape[0]) if mask is None else np.flatnonzero(mask[:, j])
+        live = np.flatnonzero(~np.isnan(Y[:, j]))
         if sup.size == 0 or sup.size > 0.5 * live.size:
             continue
         sol, *_ = np.linalg.lstsq(A[np.ix_(live, sup)], Y[live, j], rcond=None)
@@ -365,33 +365,30 @@ def _lstsq_debias_reference(A, Y, S, mask=None):
     return S
 
 
-def _assert_debias_matches_reference(A, Y, S, mask=None):
-    want = _lstsq_debias_reference(A, Y, S.copy(), mask)
-    got = debias(A, Y, S.copy(), mask)
+def _assert_debias_matches_reference(A, Y, S):
+    want = _lstsq_debias_reference(A, Y, S.copy())
+    got = debias(A, Y, S.copy())
     assert got.dtype == S.dtype
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     return got
 
 
 def _keyed_image_problem(n, sr, plr):
-    """(A, Y, mask) of a keyed n x n frame, 30% of it lost when plr is set."""
+    """(A, Y) of a keyed n x n frame, 30% of it lost (NaN) when plr is set."""
     key = keygen(3, n, sr, 1.0)
     Y = columnwise_encode(key, make_test_image(n))
-    mask = None
     if plr:
         Y = apply_channel(Y, ChannelModel("packet_loss", plr=plr), derive_stream(4, "loss"))
-        mask = ~np.isnan(Y)
-        Y = np.where(mask, Y, 0.0)
-    return key.sensing_matrix(), Y, mask
+    return key.sensing_matrix(), Y
 
 
 @pytest.mark.parametrize("plr", [0.0, 0.3])
 @pytest.mark.parametrize("sr", [0.3, 0.7])
 def test_debias_matches_lstsq_on_a_keyed_image(sr, plr):
     # the supports of the float32 loop, as columnwise_decode refits them
-    A, Y, mask = _keyed_image_problem(128, sr, plr)
-    S = ista_bpdn_batch(A.astype(np.float32), Y.astype(np.float32), mask).astype(float)
-    got = _assert_debias_matches_reference(A, Y, S, mask)
+    A, Y = _keyed_image_problem(128, sr, plr)
+    S = ista_bpdn_batch(A.astype(np.float32), Y.astype(np.float32)).astype(float)
+    got = _assert_debias_matches_reference(A, Y, S)
     assert not np.array_equal(got, S)
 
 
@@ -405,8 +402,8 @@ def test_debias_matches_lstsq_on_fig1_problems():
 
 
 def test_debias_skip_rule_edges():
-    # 8 rows; columns 1-3 lose rows 0 and 1, column 4 loses every row, and a
-    # lost row holds NaN, which the fit must not read
+    # 8 rows; columns 1-3 lose rows 0 and 1, column 4 loses every row: a
+    # lost row holds NaN, which marks it and which the fit must not read
     s = derive_stream(15, "debias")
     A = s.gaussian((8, 12))
     Y = s.gaussian((8, 6))
@@ -420,7 +417,7 @@ def test_debias_skip_rule_edges():
     S[[3], 3] = 1.0           # 1 of 6: refit, in the same block as column 1
     S[[6], 4] = 1.0           # every row lost: left
     S[[1, 3, 8, 10], 5] = 1.0  # 4 of 8 with no row lost: refit
-    got = _assert_debias_matches_reference(A, Y, S, mask)
+    got = _assert_debias_matches_reference(A, Y, S)
     for j in (0, 2, 4):
         assert np.array_equal(got[:, j], S[:, j])
     for j in (1, 3, 5):
@@ -430,12 +427,12 @@ def test_debias_skip_rule_edges():
 def test_debias_memory_stays_below_three_frames():
     # the refit gathers support columns in blocks of about 1 MiB, so a
     # 512x512 frame at sr 0.7 with 30% loss needs far less than 3 frames
-    A, Y, mask = _keyed_image_problem(512, 0.7, 0.3)
-    S = ista_bpdn_batch(A.astype(np.float32), Y.astype(np.float32), mask).astype(float)
+    A, Y = _keyed_image_problem(512, 0.7, 0.3)
+    S = ista_bpdn_batch(A.astype(np.float32), Y.astype(np.float32)).astype(float)
     limit = 3 * S.nbytes
     tracemalloc.start()
     try:
-        debias(A, Y, S, mask)
+        debias(A, Y, S)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
