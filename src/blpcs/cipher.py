@@ -6,7 +6,9 @@ permutation (``perm``), the column scaling (``scale``) and the column mixes
 (``mix``).  Encoding is the composition measurement-matrix = sensing-matrix
 x secret-basis-inverse, applied operator-style; the composed matrix is
 energy-distorting (non-RIP) even though the sensing matrix alone is a
-well-behaved Gaussian.
+well-behaved Gaussian.  A receiver decodes with the same two objects: an
+l1 solve against the sensing matrix, then the secret basis
+(:func:`blpcs.imaging.columnwise_decode` for images).
 
 The module also implements the two scrambling product ciphers (measurement
 domain and frequency domain) and the double-random-phase-encoding
@@ -22,14 +24,12 @@ import numpy as np
 from .bases import SecretBasisSpec, build_secret_basis, corner_region_1d, corner_region_2d
 from .errors import FormatError, GuardError
 from .keyrand import derive_stream
-from .solvers import two_step_decode
 
 __all__ = [
     "BlpKey",
     "DrpeMasks",
     "keygen",
     "blp_encode",
-    "blp_decode",
     "scramble_measurements_encode",
     "scramble_frequency_encode",
     "drpe_masks",
@@ -47,6 +47,10 @@ _KEY_FIELDS = {"seed": int, "M": int, "sr": float, "alpha": float, "beta": float
 # the largest M: 8 times the paper's 512-pixel side, where one M x M float64
 # frame takes 128 MiB
 _MAX_M = 4096
+# the largest column scale: integer draws stay exact, and for M <= 4096 and
+# 8-bit pixels |Y| <= sqrt(M) 255 M dmax (about 5e12) keeps the squares of
+# the float32 decode far below float32's maximum
+_MAX_DMAX = 2**16
 
 
 @dataclass
@@ -134,7 +138,8 @@ def keygen(seed, M, sr, alpha, beta=1.0, dmax=60, mix_count=0, mix_region=0.25):
     """Validate parameters and build a :class:`BlpKey`.
 
     M above 4096 raises :class:`GuardError`, before any caller sizes an
-    M x M frame from the key.
+    M x M frame from the key; so does dmax above 2**16, before a scale
+    draw or a float32 decode can overflow.
     """
     seed = int(seed)
     if not 0 <= seed < 2**64:
@@ -151,6 +156,8 @@ def keygen(seed, M, sr, alpha, beta=1.0, dmax=60, mix_count=0, mix_region=0.25):
         raise ValueError("fractional orders alpha and beta must be finite")
     if dmax < 1:
         raise ValueError("dmax must be a positive integer")
+    if dmax > _MAX_DMAX:
+        raise GuardError(f"dmax={dmax} exceeds the {_MAX_DMAX} bound on the column scale")
     if mix_count < 0:
         raise ValueError("mix_count must be >= 0")
     if not 0.0 < mix_region <= 1.0:
@@ -172,15 +179,6 @@ def blp_encode(key, x):
     forward, _ = key.basis()
     return key.sensing_matrix() @ forward(x)
 
-def blp_decode(key, y):
-    """Two-step decode: l1-solve against A_K, then apply Psi_K.  Returns
-    the signal estimate."""
-    y = np.asarray(y, dtype=float).ravel()
-    if y.size != key.K:
-        raise ValueError(f"ciphertext length {y.size} does not match key K={key.K}")
-    _, inverse = key.basis()
-    return inverse(two_step_decode(key.sensing_matrix(), y))
-
 
 # ---------------------------------------------------------------------------
 # baseline product ciphers (attack targets)
@@ -192,9 +190,12 @@ def scramble_measurements_encode(Phi, P_K, x):
         raise ValueError("permutation size does not match the measurement count")
     return P_K.apply(y)
 
-def scramble_frequency_encode(Phi, P_M, basis_to_coeffs, x):
-    """Class II baseline: scramble the sparse coefficients, y' = Phi P_M Psi^{-1} x."""
-    s = basis_to_coeffs(np.asarray(x, dtype=float).ravel())
+def scramble_frequency_encode(Phi, P_M, C, x):
+    """Class II baseline: scramble the sparse coefficients, y' = Phi P_M C^T x.
+
+    The columns of the orthogonal C are the sparsifying basis, x = C s.
+    """
+    s = np.asarray(C).T @ np.asarray(x, dtype=float).ravel()
     if P_M.n != s.size:
         raise ValueError("permutation size does not match the coefficient count")
     Phi = np.asarray(Phi)

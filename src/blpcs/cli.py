@@ -213,8 +213,7 @@ def _attack_target(name, st, key_seed):
         P_K = st.permutation(K)
         return lambda x: scramble_measurements_encode(Phi, P_K, x), lambda s: C @ s, C
     P_M = st.permutation(M)
-    return (lambda x: scramble_frequency_encode(Phi, P_M, lambda v: C.T @ v, x),
-            lambda s: C @ s, C)
+    return lambda x: scramble_frequency_encode(Phi, P_M, C, x), lambda s: C @ s, C
 
 
 def _attack_row(seed, name, t):

@@ -24,11 +24,9 @@ from .solvers import debias, ista_bpdn_batch
 
 __all__ = [
     "ChannelModel",
-    "ScrambleStats",
     "load_pgm",
     "save_pgm",
     "make_test_image",
-    "acceptable_permutation_stats",
     "columnwise_encode",
     "columnwise_decode",
     "energy_ratio",
@@ -126,50 +124,6 @@ def make_test_image(n=512):
     img[(xx - 0.75) ** 2 + (yy - 0.25) ** 2 < 0.02] -= 55.0
     img[int(0.12 * n):int(0.18 * n), int(0.10 * n):int(0.90 * n)] += 38.5
     return np.round(np.clip(img, 0, 255)).astype(float)
-
-
-# ---------------------------------------------------------------------------
-# sparsity statistics of scrambled 2-D signals
-
-@dataclass
-class ScrambleStats:
-    ts: np.ndarray          # deviation grid, as a fraction of the column length
-    empirical: np.ndarray   # observed tail frequency at each t
-    reference: np.ndarray   # n * exp(-2 n t^2)
-    col_mean: np.ndarray    # per-column mean sparsity count over the trials
-    expected: float         # nnz / n, the uniform per-column expectation
-
-
-def acceptable_permutation_stats(X, trials, stream, ts=None):
-    """Tail statistics of the max column sparsity under uniform scrambling.
-
-    For each trial the flattened nonzero pattern is permuted uniformly and
-    the worst column count recorded.  Deviations are measured from the
-    uniform expectation nnz/n and normalized by the column length n, which
-    is the scale on which the Hoeffding reference curve n*exp(-2 n t^2)
-    lives.
-    """
-    X = np.asarray(X)
-    n = X.shape[0]
-    if X.shape != (n, n):
-        raise ValueError("X must be square")
-    mask = (np.abs(X) > 0).flatten(order="F")
-    nnz = int(mask.sum())
-    expected = nnz / n
-    if ts is None:
-        ts = np.linspace(0.0, 0.5, 11)
-    ts = np.asarray(ts, dtype=float)
-    devs = np.empty(trials)
-    col_sum = np.zeros(n)
-    for t in range(trials):
-        perm = stream.permutation(n * n)
-        counts = mask[perm.map].reshape((n, n), order="F").sum(axis=0)
-        col_sum += counts
-        devs[t] = (counts.max() - expected) / n
-    empirical = np.array([(devs >= t).mean() for t in ts])
-    reference = n * np.exp(-2.0 * n * ts ** 2)
-    return ScrambleStats(ts=ts, empirical=empirical, reference=reference,
-                         col_mean=col_sum / trials, expected=expected)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Sparse recovery solvers.
 
-Three routes with different regimes and guarantees:
+Two routes with different regimes and guarantees:
 
 * :func:`omp_recover` -- greedy orthogonal matching pursuit, the workhorse
   for exactly sparse synthetic signals (:func:`subspace_pursuit` refines a
@@ -13,9 +13,10 @@ Three routes with different regimes and guarantees:
   inputs and in float64 otherwise; :func:`debias` refits its estimate by least squares on each
   column's support, always in float64, solving the normal equations of
   many columns at once in blocks of bounded memory, and :func:`ista_bpdn`
-  is the float64 single-vector solve with that refit;
-* :func:`l0_bruteforce` -- exhaustive support search, the desk-scale oracle
-  the other solvers are verified against.
+  is the float64 single-vector solve with that refit.
+
+The exhaustive l0 search that greedy pursuit is checked against is test code
+(``tests/oracles.py``).
 
 :func:`two_step_decode` is the sensing-matrix solve of the bi-level
 cipher's decode (OMP and SP, keeping the feasible fit of least l1 norm);
@@ -24,12 +25,9 @@ returns its coefficient estimate as an array; a caller that needs the
 residual computes it from the estimate.
 """
 
-from itertools import combinations
-from math import comb, sqrt
+from math import sqrt
 
 import numpy as np
-
-from .errors import GuardError
 
 __all__ = [
     "omp_recover",
@@ -37,7 +35,6 @@ __all__ = [
     "ista_bpdn",
     "ista_bpdn_batch",
     "debias",
-    "l0_bruteforce",
     "two_step_decode",
 ]
 
@@ -349,40 +346,6 @@ def ista_bpdn(A, y):
     y = np.asarray(y, dtype=float).ravel()[:, None]
     S = ista_bpdn_batch(A, y)
     return debias(A, y, S)[:, 0]
-
-
-# ---------------------------------------------------------------------------
-# exhaustive l0 oracle
-
-_L0_GUARD = 10**6
-
-
-def l0_bruteforce(A, y, k):
-    """Globally optimal fit over all supports of size <= k.
-
-    Every candidate support gets a least-squares fit; the smallest residual
-    wins, preferring smaller supports on ties.  Guarded to about 1e6
-    candidate supports.  Returns the estimate.
-    """
-    A = np.asarray(A, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    M = A.shape[1]
-    if not 0 <= k <= M:
-        raise ValueError("need 0 <= k <= cols(A)")
-    total = sum(comb(M, j) for j in range(1, k + 1))
-    if total > _L0_GUARD:
-        raise GuardError(f"l0 search over {total} supports exceeds the {_L0_GUARD} guard")
-    x = np.zeros(M)
-    best_resid = float(np.linalg.norm(y))
-    for size in range(1, k + 1):
-        for T in combinations(range(M), size):
-            sol, *_ = np.linalg.lstsq(A[:, T], y, rcond=None)
-            resid = float(np.linalg.norm(y - A[:, T] @ sol))
-            if resid < best_resid - 1e-12:
-                best_resid = resid
-                x[:] = 0.0
-                x[list(T)] = sol
-    return x
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,24 @@
 
 None of these runs in the program.  ``fisher_yates_reference`` is the
 sequential shuffle that ``RandStream.permutation`` must reproduce bit for
-bit; each other one checks a claim the tests make about the paper (the
-phase-encoding transfer matrix, the factorisation ambiguity, the single-query
-break of a +-1 matrix, the failure of the isometry property under column
-scaling).  The file is not collected by pytest; the test modules import it by
-name.
+bit, and ``blp_decode`` is the paper's keyed decode of one signal, the
+inverse of ``blp_encode``.  Each other one checks a claim the tests make
+about the paper (the phase-encoding transfer matrix, the factorisation
+ambiguity, the single-query break of a +-1 matrix, the failure of the
+isometry property under column scaling, the sparsity tail of uniform
+scrambling, the exhaustive l0 optimum the pursuits are measured against).
+The file is not collected by pytest; the test modules import it by name.
 """
+
+from dataclasses import dataclass
+from itertools import combinations
+from math import comb
 
 import numpy as np
 
 from blpcs.cipher import _dft_matrix
 from blpcs.errors import GuardError
+from blpcs.solvers import two_step_decode
 
 
 def fisher_yates_reference(stream, n):
@@ -119,3 +126,85 @@ def rip_check_montecarlo(A, k, trials, stream):
         Ax = A[:, T] @ x
         worst = max(worst, abs(float(Ax @ Ax) / nx - 1.0))
     return worst
+
+
+def blp_decode(key, y):
+    """Two-step decode: l1-solve against A_K, then apply Psi_K.  Returns
+    the signal estimate."""
+    y = np.asarray(y, dtype=float).ravel()
+    if y.size != key.K:
+        raise ValueError(f"ciphertext length {y.size} does not match key K={key.K}")
+    _, inverse = key.basis()
+    return inverse(two_step_decode(key.sensing_matrix(), y))
+
+
+@dataclass
+class ScrambleStats:
+    ts: np.ndarray          # deviation grid, as a fraction of the column length
+    empirical: np.ndarray   # observed tail frequency at each t
+    reference: np.ndarray   # n * exp(-2 n t^2)
+    col_mean: np.ndarray    # per-column mean sparsity count over the trials
+    expected: float         # nnz / n, the uniform per-column expectation
+
+
+def acceptable_permutation_stats(X, trials, stream, ts=None):
+    """Tail statistics of the max column sparsity under uniform scrambling.
+
+    For each trial the flattened nonzero pattern is permuted uniformly and
+    the worst column count recorded.  Deviations are measured from the
+    uniform expectation nnz/n and normalized by the column length n, which
+    is the scale on which the Hoeffding reference curve n*exp(-2 n t^2)
+    lives.
+    """
+    X = np.asarray(X)
+    n = X.shape[0]
+    if X.shape != (n, n):
+        raise ValueError("X must be square")
+    mask = (np.abs(X) > 0).flatten(order="F")
+    nnz = int(mask.sum())
+    expected = nnz / n
+    if ts is None:
+        ts = np.linspace(0.0, 0.5, 11)
+    ts = np.asarray(ts, dtype=float)
+    devs = np.empty(trials)
+    col_sum = np.zeros(n)
+    for t in range(trials):
+        perm = stream.permutation(n * n)
+        counts = mask[perm.map].reshape((n, n), order="F").sum(axis=0)
+        col_sum += counts
+        devs[t] = (counts.max() - expected) / n
+    empirical = np.array([(devs >= t).mean() for t in ts])
+    reference = n * np.exp(-2.0 * n * ts ** 2)
+    return ScrambleStats(ts=ts, empirical=empirical, reference=reference,
+                         col_mean=col_sum / trials, expected=expected)
+
+
+_L0_GUARD = 10**6
+
+
+def l0_bruteforce(A, y, k):
+    """Globally optimal fit over all supports of size <= k.
+
+    Every candidate support gets a least-squares fit; the smallest residual
+    wins, preferring smaller supports on ties.  Guarded to about 1e6
+    candidate supports.  Returns the estimate.
+    """
+    A = np.asarray(A, dtype=float)
+    y = np.asarray(y, dtype=float).ravel()
+    M = A.shape[1]
+    if not 0 <= k <= M:
+        raise ValueError("need 0 <= k <= cols(A)")
+    total = sum(comb(M, j) for j in range(1, k + 1))
+    if total > _L0_GUARD:
+        raise GuardError(f"l0 search over {total} supports exceeds the {_L0_GUARD} guard")
+    x = np.zeros(M)
+    best_resid = float(np.linalg.norm(y))
+    for size in range(1, k + 1):
+        for T in combinations(range(M), size):
+            sol, *_ = np.linalg.lstsq(A[:, T], y, rcond=None)
+            resid = float(np.linalg.norm(y - A[:, T] @ sol))
+            if resid < best_resid - 1e-12:
+                best_resid = resid
+                x[:] = 0.0
+                x[list(T)] = sol
+    return x

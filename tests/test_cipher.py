@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from blpcs.cipher import (BlpKey, DrpeMasks, blp_decode, blp_encode,
+from blpcs.cipher import (BlpKey, DrpeMasks, blp_encode,
                           drpe_cs_encode, drpe_masks, keygen, load_measurements,
                           read_key_file, save_measurements, scramble_frequency_encode,
                           scramble_measurements_encode, write_key_file)
@@ -12,7 +12,7 @@ from blpcs.errors import FormatError, GuardError
 from blpcs.keyrand import Permutation, derive_stream
 from blpcs.solvers import two_step_decode
 
-from oracles import drpe_transfer_matrix, rip_check_montecarlo
+from oracles import blp_decode, drpe_transfer_matrix, rip_check_montecarlo
 
 
 def test_keygen_validation():
@@ -201,13 +201,13 @@ def test_scramble_frequency_matches_explicit_product():
     C = dct_matrix(16)
     P = st.permutation(16)
     x = st.gaussian(16)
-    got = scramble_frequency_encode(Phi, P, lambda v: C.T @ v, x)
+    got = scramble_frequency_encode(Phi, P, C, x)
     want = Phi @ np.eye(16)[P.map] @ C.T @ x
     assert np.allclose(got, want, atol=1e-10)
     x1, x2 = st.gaussian(16), st.gaussian(16)
-    lhs = scramble_frequency_encode(Phi, P, lambda v: C.T @ v, x1 + x2)
-    rhs = (scramble_frequency_encode(Phi, P, lambda v: C.T @ v, x1)
-           + scramble_frequency_encode(Phi, P, lambda v: C.T @ v, x2))
+    lhs = scramble_frequency_encode(Phi, P, C, x1 + x2)
+    rhs = (scramble_frequency_encode(Phi, P, C, x1)
+           + scramble_frequency_encode(Phi, P, C, x2))
     assert np.allclose(lhs, rhs, atol=1e-10)
 
 

@@ -234,6 +234,33 @@ def test_a_key_file_past_the_side_bound_exits_4(tmp_path, capsys, command):
     assert "4096" in capsys.readouterr().err
 
 
+def test_keygen_bounds_the_column_scale(tmp_path, capsys):
+    # past 2**16 the scale draws lose exactness and a float32 decode can
+    # overflow; 2**16 itself is allowed
+    out = tmp_path / "k.key"
+    rc = cli.main(["keygen", "--seed", "1", "--n", "64", "--sr", "0.5",
+                   "--dmax", "65537", "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 4 and not out.exists()
+    assert len(err) == 1 and "65536" in err[0]
+    assert cli.main(["keygen", "--seed", "1", "--n", "64", "--sr", "0.5",
+                     "--dmax", "65536", "--out", str(out)]) == 0
+    assert read_key_file(out).dmax == 65536
+
+
+@pytest.mark.parametrize("command", ["encode", "decode"])
+def test_a_key_file_past_the_scale_bound_exits_4(tmp_path, capsys, command):
+    key = tmp_path / "big.key"
+    key.write_text("seed=1\nM=64\nsr=0.5\nalpha=0.99\nbeta=0.95\n"
+                   "dmax=1000000000000000000\nmix_region=0.25\nmix_count=0\n")
+    inp = tmp_path / "in"
+    inp.write_bytes(b"")
+    out = tmp_path / "out"
+    rc = cli.main([command, "--key", str(key), "--in", str(inp), "--out", str(out)])
+    assert rc == 4 and not out.exists()
+    assert "65536" in capsys.readouterr().err
+
+
 def test_guard_errors_exit_4(tmp_path, monkeypatch):
     def boom(args):
         raise GuardError("too big")

@@ -6,10 +6,11 @@ import pytest
 from blpcs.bases import SecretBasisSpec, build_secret_basis
 from blpcs.cipher import keygen
 from blpcs.errors import FormatError, GuardError
-from blpcs.imaging import (ChannelModel, acceptable_permutation_stats, apply_channel,
-                           apsnr_db, columnwise_decode, columnwise_encode, load_pgm,
-                           make_test_image, psnr, save_pgm)
+from blpcs.imaging import (ChannelModel, apply_channel, apsnr_db, columnwise_decode,
+                           columnwise_encode, load_pgm, make_test_image, psnr, save_pgm)
 from blpcs.keyrand import derive_stream
+
+from oracles import acceptable_permutation_stats
 
 
 def test_pgm_roundtrip(tmp_path):

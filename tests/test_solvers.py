@@ -17,8 +17,10 @@ from blpcs.errors import GuardError
 from blpcs.imaging import ChannelModel, apply_channel, columnwise_encode, make_test_image
 from blpcs.keyrand import derive_stream
 from blpcs.solvers import (_LAM_HI, _RESIDUAL_TOL, _STAGE_ITERS, _STAGES, _lam_floor,
-                           _spectral_norm_sq, debias, ista_bpdn, ista_bpdn_batch, l0_bruteforce,
-                           omp_recover, subspace_pursuit, two_step_decode)
+                           _spectral_norm_sq, debias, ista_bpdn, ista_bpdn_batch, omp_recover,
+                           subspace_pursuit, two_step_decode)
+
+from oracles import l0_bruteforce
 
 
 def test_omp_identity_single_spike():

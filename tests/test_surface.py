@@ -9,7 +9,9 @@ parameter counts as set when a call of that name passes it by keyword or by
 position, passes ``*args`` (a positional parameter) or ``**kwargs`` (any
 parameter), or when a function of the same name, a wrapper standing in for
 it, stores the parameter's name as a key (``kwargs["name"] = ...``) to
-forward it.
+forward it.  No name is exempt: a routine that only tests call belongs in
+``tests/oracles.py``, and each function there is imported by some test
+module.
 """
 
 import ast
@@ -17,19 +19,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "blpcs").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
-
-# kept without a caller in the program, each for a stated reason
-ALLOWED = {
-    "blp_decode": "the paper's keyed decode of one signal, the inverse of blp_encode",
-    "acceptable_permutation_stats": "acceptance criterion 7 (scramble sparsity tail)",
-    "l0_bruteforce": "acceptance criterion 8 (the exhaustive oracle)",
-}
-
-# exported dataclasses whose fields are kept without a reader in the program
-ALLOWED_FIELDS = {
-    "ScrambleStats": "acceptance criterion 7 reads the fields "
-                     "acceptable_permutation_stats returns",
-}
 
 
 def _exports(tree):
@@ -59,7 +48,7 @@ def test_every_export_and_public_method_has_a_program_caller():
     unused = []
     for path, tree in trees.items():
         exported = _exports(tree)
-        unused += [f"{path.stem}.{n}" for n in sorted(exported - names - attrs - set(ALLOWED))]
+        unused += [f"{path.stem}.{n}" for n in sorted(exported - names - attrs)]
         for cls in tree.body:
             if isinstance(cls, ast.ClassDef) and cls.name in exported:
                 unused += [f"{path.stem}.{cls.name}.{f.name}" for f in cls.body
@@ -75,8 +64,7 @@ def test_every_field_of_an_exported_dataclass_is_read_in_the_program():
     for path, tree in trees.items():
         exported = _exports(tree)
         for cls in tree.body:
-            if (isinstance(cls, ast.ClassDef) and cls.name in exported
-                    and _is_dataclass(cls) and cls.name not in ALLOWED_FIELDS):
+            if isinstance(cls, ast.ClassDef) and cls.name in exported and _is_dataclass(cls):
                 unread += [f"{path.stem}.{cls.name}.{f.target.id}" for f in cls.body
                            if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
                            and f.target.id not in attrs]
@@ -145,8 +133,6 @@ def test_every_defaulted_parameter_is_set_by_a_program_caller():
     unset = []
     for path, tree in trees.items():
         for qualname, args, method in _exported_callables(tree):
-            if qualname in ALLOWED:
-                continue
             short = qualname.rsplit(".", 1)[-1]
             for pos, name in _defaulted(args, method):
                 if (short, name) in forwarded:
@@ -154,3 +140,15 @@ def test_every_defaulted_parameter_is_set_by_a_program_caller():
                 if not any(_sets(c, pos, name) for c in calls.get(short, [])):
                     unset.append(f"{path.stem}.{qualname}({name})")
     assert not unset, "no caller in src/blpcs or bench/ sets: " + ", ".join(unset)
+
+
+def test_every_oracle_is_imported_by_a_test():
+    tests = ROOT / "tests"
+    imported = {alias.name for path in tests.glob("test_*.py")
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ImportFrom) and node.module == "oracles"
+                for alias in node.names}
+    oracles = ast.parse((tests / "oracles.py").read_text())
+    unused = [f.name for f in oracles.body
+              if isinstance(f, ast.FunctionDef) and f.name not in imported]
+    assert not unused, "no test imports oracles." + ", oracles.".join(unused)
