@@ -111,11 +111,13 @@ _EIG_RESID_TOL = 1e-10
 def dct_eigensystem(n):
     """Eigensystem of dct_matrix(n) with a deterministic ordering convention.
 
-    Eigenvalues are sorted by principal argument in (-pi, pi]; near-equal
-    arguments are clustered, re-orthonormalized by QR, and tie-broken by
-    lexicographic order on the rounded eigenvector entries.  The
-    eigensolver runs on one OpenBLAS thread, so the result does not depend
-    on the thread count.  Results are cached per size.
+    Eigenvalues are sorted by principal argument in (-pi, pi].  Distinct
+    arguments make each eigenvector unique up to LAPACK's phase convention;
+    two arguments closer than 1e-7 raise ArithmeticError (no n up to 2048,
+    the sizes a key allows, comes near: their closest arguments are about
+    7.6e-4 apart).  The eigensolver runs on one OpenBLAS thread, so the
+    result does not depend on the thread count.  Results are cached per
+    size.
     """
     if n in _EIG_CACHE:
         return _EIG_CACHE[n]
@@ -126,27 +128,14 @@ def dct_eigensystem(n):
         lam, U = np.linalg.eig(C.astype(complex))
     phi = np.angle(lam)
     # keep the principal branch (-pi, pi] but fold values hugging -pi onto +pi
-    # so a -1 eigenspace is not split across the branch cut
+    # so an eigenvalue at -1 sorts last on either side of the branch cut
     phi = np.where(phi <= -np.pi + _CLUSTER_TOL, phi + 2.0 * np.pi, phi)
     order = np.argsort(phi, kind="stable")
     phi, U = phi[order], U[:, order]
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and abs(phi[stop] - phi[stop - 1]) < _CLUSTER_TOL:
-            stop += 1
-        if stop - start > 1:
-            block = U[:, start:stop]
-
-            def entry_key(c):
-                v = np.round(block[:, c], 12)
-                return tuple(np.column_stack([v.real, v.imag]).ravel())
-
-            sub = sorted(range(stop - start), key=entry_key)
-            Q, _ = np.linalg.qr(block[:, sub])
-            U[:, start:stop] = Q
-            phi[start:stop] = np.mean(phi[start:stop])
-        start = stop
+    if n > 1 and np.diff(phi).min() < _CLUSTER_TOL:
+        raise ArithmeticError(
+            f"the size-{n} DCT has eigenvalue arguments closer than {_CLUSTER_TOL:g}, "
+            "so its eigenvectors are not unique")
     sys = EigenSystem(U=U, phis=phi)
     resid = np.max(np.abs(sys.fractional(1.0) - C))
     unit = np.max(np.abs(U.conj().T @ U - np.eye(n)))

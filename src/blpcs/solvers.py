@@ -293,13 +293,12 @@ def debias(A, Y, S):
 
     The fit is always float64, whatever the dtype of A and Y, and is stored
     in the dtype of S.  It solves the normal equations of many columns at
-    once.  The columns to refit, sorted by support size, go in blocks whose
-    gathered support columns of A take about 1 MiB; each block is padded to
-    its largest support (a padded slot is a zero column with a 1 on the Gram
-    diagonal, so its coefficient solves to 0) and solved by one stacked
-    ``np.linalg.solve``.  So the memory the refit adds is a few blocks, never
-    a buffer the size of S.  The skip rule keeps every support at most half
-    of its rows, which bounds the conditioning of the normal equations.
+    once: the columns of each support size go in chunks whose gathered
+    support columns of A take about 1 MiB, and each chunk is solved by one
+    stacked ``np.linalg.solve``.  So the memory the refit adds is a few
+    chunks, never a buffer the size of S.  The skip rule keeps every support
+    at most half of its rows, which bounds the conditioning of the normal
+    equations.
     """
     A = np.asarray(A, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -308,34 +307,23 @@ def debias(A, Y, S):
     live = ~lost if lost.any() else None
     sizes = np.count_nonzero(S, axis=0)
     rows = np.full(S.shape[1], K) if live is None else np.count_nonzero(live, axis=0)
-    cols = np.flatnonzero((sizes > 0) & (2 * sizes <= rows))
-    cols = cols[np.argsort(sizes[cols], kind="stable")]
-    # a block of b columns padded to support width w gathers b * w * K values
-    cap = max(_DEBIAS_BLOCK_BYTES // (8 * max(K, 1)), 1)
-    start = 0
-    while start < cols.size:
-        padded = np.arange(1, cols.size - start + 1) * sizes[cols[start:]]
-        block = cols[start:start + max(int(np.searchsorted(padded, cap, side="right")), 1)]
-        start += block.size
-        held = S[:, block].T != 0
-        slot, pos = np.nonzero(held)
-        rank = (np.cumsum(held, axis=1) - 1)[held]
-        width = int(sizes[block[-1]])
-        used = np.arange(width) < sizes[block][:, None]
-        idx = np.zeros((block.size, width), dtype=np.intp)
-        idx[slot, rank] = pos
-        X = A.T[idx]
-        X *= used[:, :, None]
-        y = Y[:, block].T
-        if live is not None:
-            keep = live[:, block].T
-            X *= keep[:, None, :]
-            y = np.where(keep, y, 0.0)
-        G = X @ X.transpose(0, 2, 1)
-        G.reshape(block.size, -1)[:, ::width + 1] += ~used
-        sol = np.linalg.solve(G, X @ y[:, :, None])
-        S[:, block] = 0.0
-        S[pos, block[slot]] = sol[slot, rank, 0]
+    refit = (sizes > 0) & (2 * sizes <= rows)
+    for w in np.unique(sizes[refit]):
+        cols = np.flatnonzero(refit & (sizes == w))
+        # a chunk of b columns of support size w gathers b * w * K values
+        b = max(_DEBIAS_BLOCK_BYTES // (8 * w * K), 1)
+        for start in range(0, cols.size, b):
+            block = cols[start:start + b]
+            idx = np.nonzero(S[:, block].T)[1].reshape(block.size, w)
+            X = A.T[idx]
+            y = Y[:, block].T
+            if live is not None:
+                keep = live[:, block].T
+                X *= keep[:, None, :]
+                y = np.where(keep, y, 0.0)
+            sol = np.linalg.solve(X @ X.transpose(0, 2, 1), X @ y[:, :, None])
+            S[:, block] = 0.0
+            S[idx, block[:, None]] = sol[:, :, 0]
     return S
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from blpcs import bases
 from blpcs.bases import (SecretBasisSpec, best_s_term, build_secret_basis, corner_region_1d,
                          corner_region_2d, dct_eigensystem, dct_matrix, mix_coefficients,
                          rpfrct_matrix, unmix_coefficients)
@@ -38,6 +39,15 @@ def test_eigensystem_invariants(n):
     assert np.max(np.abs(sys.U.conj().T @ sys.U - np.eye(n))) < 1e-10
     assert np.max(np.abs(sys.fractional(1.0) - dct_matrix(n))) < 1e-10
     assert np.all(sys.phis > -np.pi - 1e-12) and np.all(sys.phis <= np.pi + 1e-9)
+
+
+def test_eigensystem_rejects_near_equal_arguments(monkeypatch):
+    # no size a key allows has two arguments within _CLUSTER_TOL, so widen
+    # the tolerance past the smallest gap at n = 6 to reach the check
+    monkeypatch.setattr(bases, "_EIG_CACHE", {})
+    monkeypatch.setattr(bases, "_CLUSTER_TOL", 1.0)
+    with pytest.raises(ArithmeticError, match="size-6"):
+        dct_eigensystem(6)
 
 
 def test_dfrct_order_zero_and_one():

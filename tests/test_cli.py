@@ -11,6 +11,7 @@ import pytest
 
 import blpcs
 import blpcs.cli as cli
+from blpcs.bases import corner_region_2d
 from blpcs.cipher import keygen, load_measurements, read_key_file, save_measurements
 from blpcs.errors import GuardError
 from blpcs.imaging import columnwise_encode, make_test_image, save_pgm
@@ -103,6 +104,24 @@ def _encode_64(tmp_path):
     meas = tmp_path / "m.blpy"
     cli.main(["encode", "--key", str(key), "--in", str(img), "--out", str(meas)])
     return key, meas
+
+
+def test_baseline_pipeline_decodes_only_as_the_baseline(tmp_path, capsys):
+    # the unscrambled baseline file of the seed-1 key decodes with
+    # --baseline, is garbage through the scrambled decoder, and reads below
+    # the scrambled pipeline of the same key
+    key, meas = _encode_64(tmp_path)
+    ref, base, rec = tmp_path / "in.pgm", tmp_path / "b.blpy", tmp_path / "rec.pgm"
+    assert cli.main(["encode", "--key", str(key), "--in", str(ref), "--out", str(base),
+                     "--baseline"]) == 0
+    assert cli.main(["decode", "--key", str(key), "--in", str(base), "--out", str(rec),
+                     "--reference", str(ref), "--baseline"]) == 0
+    assert cli.main(["decode", "--key", str(key), "--in", str(base), "--out", str(rec),
+                     "--reference", str(ref)]) == 0
+    assert cli.main(["decode", "--key", str(key), "--in", str(meas), "--out", str(rec),
+                     "--reference", str(ref)]) == 0
+    got = [float(line.split("=")[1]) for line in capsys.readouterr().out.splitlines()]
+    assert got == pytest.approx([20.969, 6.488, 23.970], abs=0.01)
 
 
 def test_decode_rejects_missing_packet(tmp_path):
@@ -335,6 +354,18 @@ def test_exp_table_small_smoke(tmp_path, capsys):
         assert len(capsys.readouterr().err.splitlines()) == 1
 
 
+def test_exp_table_timings_fill_only_the_seconds_column(tmp_path):
+    plain, timed = tmp_path / "plain.csv", tmp_path / "timed.csv"
+    assert cli.main(["exp", "table1", "--n", "32", "--trials", "1", "--out", str(plain)]) == 0
+    assert cli.main(["exp", "table1", "--n", "32", "--trials", "1", "--timings",
+                     "--out", str(timed)]) == 0
+    want = [line.split(",") for line in plain.read_text().splitlines()]
+    got = [line.split(",") for line in timed.read_text().splitlines()]
+    assert got[0][-1] == "seconds"
+    assert [row[:-1] for row in got] == [row[:-1] for row in want]
+    assert all(float(row[-1]) >= 0.0 for row in got[1:])
+
+
 def test_natural_image_half_rate_window_and_wrong_key(tmp_path, capsys):
     # full-size run: the printed quality lands in the reported half-rate
     # window, and a wrong-seed key produces garbage
@@ -414,6 +445,20 @@ def test_keygen_mix_count_is_checked_against_the_image_region(tmp_path, capsys):
                      "--mix-count", "100", "--out", str(tmp_path / "big.key")]) == 0
     with pytest.raises(ValueError, match="mix_count too large"):
         keygen(1, 16, 0.5, 1.0, mix_count=200)  # more than (2 side)^2 = 16 allows
+
+
+def test_keygen_mix_region_reaches_the_key_and_its_mixes(tmp_path):
+    # the mixes of a 0.5 region lie in the permuted 2 x (32 * 0.5) corners
+    key = tmp_path / "k.key"
+    assert cli.main(["keygen", "--seed", "3", "--n", "64", "--sr", "0.5",
+                     "--mix-count", "4", "--mix-region", "0.5", "--out", str(key)]) == 0
+    assert "mix_region=0.5\n" in key.read_text()
+    loaded = read_key_file(key)
+    assert loaded == keygen(3, 64, 0.5, 0.99, 0.95, dmax=16, mix_count=4, mix_region=0.5)
+    spec = loaded.basis_spec(two_d=True)
+    region = spec.perm.map[corner_region_2d(64, 16)]
+    assert len(spec.mixes) == 4
+    assert all(j in region and k in region for j, k, _, _ in spec.mixes)
 
 
 # SHA-256 of the BLPY and PGM files of a 64x64 key with mixes (seed 7, sr 0.5,

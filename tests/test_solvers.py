@@ -16,9 +16,9 @@ from blpcs.ensembles import antipodal_scaled_matrix
 from blpcs.errors import GuardError
 from blpcs.imaging import ChannelModel, apply_channel, columnwise_encode, make_test_image
 from blpcs.keyrand import derive_stream
-from blpcs.solvers import (_LAM_HI, _RESIDUAL_TOL, _STAGE_ITERS, _STAGES, _lam_floor,
-                           _spectral_norm_sq, debias, ista_bpdn, ista_bpdn_batch, omp_recover,
-                           subspace_pursuit, two_step_decode)
+from blpcs.solvers import (_DEBIAS_BLOCK_BYTES, _LAM_HI, _RESIDUAL_TOL, _STAGE_ITERS, _STAGES,
+                           _lam_floor, _spectral_norm_sq, debias, ista_bpdn, ista_bpdn_batch,
+                           omp_recover, subspace_pursuit, two_step_decode)
 
 from oracles import l0_bruteforce
 
@@ -416,7 +416,7 @@ def test_debias_skip_rule_edges():
     S = np.zeros((12, 6))     # column 0 keeps an empty support: left as it is
     S[[2, 5, 9], 1] = 1.0     # 3 of 6 live rows, exactly half: refit
     S[[0, 4, 7, 11], 2] = 1.0  # 4 of 6 live rows, one more than half: left
-    S[[3], 3] = 1.0           # 1 of 6: refit, in the same block as column 1
+    S[[3], 3] = 1.0           # 1 of 6: refit
     S[[6], 4] = 1.0           # every row lost: left
     S[[1, 3, 8, 10], 5] = 1.0  # 4 of 8 with no row lost: refit
     got = _assert_debias_matches_reference(A, Y, S)
@@ -424,6 +424,24 @@ def test_debias_skip_rule_edges():
         assert np.array_equal(got[:, j], S[:, j])
     for j in (1, 3, 5):
         assert not np.array_equal(got[:, j], S[:, j])
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_debias_refits_one_support_size_over_several_chunks(masked):
+    # every column has support size 64, so a chunk holds
+    # _DEBIAS_BLOCK_BYTES // (8 * 64 * K) of them and 3 chunks and one
+    # more column make four chunks of one size
+    K, M, w = 512, 1024, 64
+    chunk = _DEBIAS_BLOCK_BYTES // (8 * w * K)
+    assert chunk >= 1
+    s = derive_stream(16, "debias")
+    A = s.gaussian((K, M))
+    Y = _lose(s.gaussian((K, 3 * chunk + 1)), s, masked)
+    S = np.zeros((M, Y.shape[1]))
+    for j in range(Y.shape[1]):
+        S[s.subset(M, w), j] = 1.0
+    got = _assert_debias_matches_reference(A, Y, S)
+    assert not np.any(np.all(got == S, axis=0))
 
 
 def test_debias_memory_stays_below_three_frames():

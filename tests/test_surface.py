@@ -11,11 +11,15 @@ parameter), or when a function of the same name, a wrapper standing in for
 it, stores the parameter's name as a key (``kwargs["name"] = ...``) to
 forward it.  No name is exempt: a routine that only tests call belongs in
 ``tests/oracles.py``, and each function there is imported by some test
-module.
+module.  Every option of every subcommand appears in some argument list of
+a test or of the benchmark that names that subcommand first.
 """
 
+import argparse
 import ast
 from pathlib import Path
+
+from blpcs.cli import _build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "blpcs").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
@@ -152,3 +156,21 @@ def test_every_oracle_is_imported_by_a_test():
     unused = [f.name for f in oracles.body
               if isinstance(f, ast.FunctionDef) and f.name not in imported]
     assert not unused, "no test imports oracles." + ", oracles.".join(unused)
+
+
+def test_every_command_line_option_is_exercised():
+    # the string constants of each list literal whose first element is a
+    # string, keyed by that string: argument lists as ["keygen", "--n", ...]
+    lists = {}
+    for path in sorted((ROOT / "tests").glob("test_*.py")) + sorted((ROOT / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.List) and node.elts
+                    and isinstance(node.elts[0], ast.Constant)):
+                lists.setdefault(node.elts[0].value, set()).update(
+                    e.value for e in node.elts if isinstance(e, ast.Constant))
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    missing = [f"{name} {opt}" for name, parser in sub.choices.items()
+               for action in parser._actions if not isinstance(action, argparse._HelpAction)
+               for opt in action.option_strings if opt not in lists.get(name, ())]
+    assert not missing, "no test or bench argument list passes: " + ", ".join(missing)
