@@ -149,7 +149,7 @@ def test_ista_batch_dtype_follows_inputs(debiased):
 
 
 @pytest.mark.parametrize("plr", [0.0, 0.3])
-@pytest.mark.parametrize("sr", [0.3, 0.7])
+@pytest.mark.parametrize("sr", [0.1, 0.3, 0.7])
 def test_ista_batch_float32_agrees_with_float64_on_a_keyed_image(sr, plr):
     # the float32 loop of the image decode against the float64 one, before
     # and after the float64 refit that columnwise_decode runs
